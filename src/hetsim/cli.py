@@ -157,10 +157,10 @@ def _solve_layer_blocks(network, solver, config, ranks_text, oversample, power, 
             power=power,
             seed=seed,
         )
-        states, _ = lowrank.solve_lowrank(network, weights, config, svd)
-        return {name: f.dense() for name, f in states.items()}
-    state, _ = dense.solve_dense(network, weights, config)
-    return state.blocks
+        states, trace = lowrank.solve_lowrank(network, weights, config, svd)
+        return {name: f.dense() for name, f in states.items()}, trace.converged
+    state, trace = dense.solve_dense(network, weights, config)
+    return state.blocks, trace.converged
 
 
 def cmd_eval_q(args) -> int:
@@ -170,6 +170,7 @@ def cmd_eval_q(args) -> int:
         grid = _parse_sweep(args.sweep)
         for ridx, r in enumerate(grid):
             qs = []
+            unconverged = 0
             for trial in range(args.trials):
                 seed = int(
                     np.random.SeedSequence(
@@ -178,12 +179,14 @@ def cmd_eval_q(args) -> int:
                 )
                 spec = synth.LayeredGraphSpec(counts=counts, radius=r, seed=seed)
                 network, points = synth.layered_points_graph(spec)
-                blocks = _solve_layer_blocks(
+                blocks, converged = _solve_layer_blocks(
                     network, args.solver, config, args.ranks,
                     args.oversample, args.power, seed,
                 )
+                unconverged += not converged
                 qs.append(synth.layer_quality(points, blocks)[0])
-            print(f"r={r:g} meanQ={np.mean(qs):.6g} trials={len(qs)}")
+            print(f"r={r:g} meanQ={np.mean(qs):.6g} trials={len(qs)} "
+                  f"unconverged={unconverged}")
         return EXIT_OK
 
     if not args.bundle or not args.similarity:
@@ -201,12 +204,10 @@ def cmd_eval_q(args) -> int:
 def cmd_query(args) -> int:
     if args.factors:
         states = dataio.load_factors(args.factors)
-        manifest = json.loads((Path(args.factors) / dataio.FACTORS_NAME).read_text())
         # Entity ids live in the bundle; the factors container stores indices.
         if not args.bundle:
             raise ConfigError("--factors queries need --bundle for entity ids")
         network, _ = dataio.load_network(args.bundle)
-        del manifest
         t = network.type(args.type)
         if args.id not in t.index:
             raise ConfigError(f"unknown entity id {args.id!r} in type {args.type!r}")

@@ -196,10 +196,11 @@ def solve_dense(
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
         new = sweep(network, weights, state, ops)
-        res = residual(state, new)
+        per_type = residual_by_type(state, new)
+        res = sum(per_type.values())
         trace.seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res)
-        trace.per_type.append(residual_by_type(state, new))
+        trace.per_type.append(per_type)
         state = new
         if not state.allfinite():
             raise DivergenceError("non-finite similarity values encountered")
@@ -242,10 +243,11 @@ def solve_lyapunov(
             m[np.diag_indices_from(m)] += 1.0 - c
             out[t.name] = m
         new = SimilaritySet(out)
-        res = residual(state, new)
+        per_type = residual_by_type(state, new)
+        res = sum(per_type.values())
         trace.seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res)
-        trace.per_type.append(residual_by_type(state, new))
+        trace.per_type.append(per_type)
         state = new
         if not state.allfinite():
             raise DivergenceError("non-finite similarity values encountered")

@@ -16,13 +16,8 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import ConditionError, DivergenceError, SolveTrace, SolverConfig
-from .model import (
-    HeteroNetwork,
-    WeightMatrix,
-    check_convergence_conditions,
-    coupling_operators,
-)
+from .dense import DivergenceError, SolveTrace, SolverConfig, _require_conditions
+from .model import HeteroNetwork, WeightMatrix, coupling_operators
 
 
 @dataclass(frozen=True)
@@ -127,19 +122,22 @@ class UpdateOperator:
     column-stochastic operator oriented toward this type and (U_p, d_p)
     are the partner's factors.  Symmetric by construction.  Cost per apply
     is O(nnz + n * a); ``spmv_count`` tracks sparse products for cost tests.
+    ``base_diagonal`` is the factor-free part of the diagonal,
+    sum w * rownorm^2(W).
     """
 
-    def __init__(self, size: int, terms):
+    def __init__(self, size: int, terms, base_diagonal: np.ndarray):
         self.shape = (size, size)
-        # term: (weight, W csr (n x n_p), U_p, d_p)
+        # term: (weight, W csr (n x n_p), W^T csr, U_p, d_p)
         self.terms = terms
+        self.base_diagonal = base_diagonal
         self.spmv_count = 0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or an (n, k) block."""
         out = np.zeros_like(x)
-        for w, oper, u_p, d_p in self.terms:
-            y = oper.T @ x
+        for w, oper, oper_t, u_p, d_p in self.terms:
+            y = oper_t @ x
             self.spmv_count += 1
             if d_p.size:
                 g = u_p.T @ y
@@ -150,11 +148,8 @@ class UpdateOperator:
 
     def diagonal(self) -> np.ndarray:
         """Exact diagonal: squared row norms of W plus the factored middle term."""
-        n = self.shape[0]
-        diag = np.zeros(n)
-        for w, oper, u_p, d_p in self.terms:
-            d1 = np.asarray(oper.multiply(oper).sum(axis=1)).ravel()
-            diag += w * d1
+        diag = self.base_diagonal.copy()
+        for w, oper, _, u_p, d_p in self.terms:
             if d_p.size:
                 wu = oper @ u_p
                 diag += w * ((wu * d_p) * wu).sum(axis=1)
@@ -174,6 +169,31 @@ class _DiagRemoved:
         return self.op.apply(x) - shift
 
 
+def update_constants(network: HeteroNetwork, weights: WeightMatrix) -> dict:
+    """Per type, the parts of its update operator that depend on the network
+    and weights alone, so that a solve builds them once: ``(terms, diagonal)``
+    with terms ``(weight, W csr, W^T csr, partner name)`` and the weight-only
+    diagonal sum w * rownorm^2(W)."""
+    couplings = coupling_operators(network)
+    out = {}
+    for t in network.types:
+        terms = []
+        diag = np.zeros(t.size)
+        for r in network.incident(t.name):
+            w = weights.weight(t.name, r.name)
+            if not w:
+                continue
+            fwd, rev = couplings[r.name]
+            if r.src.name == t.name:
+                oper, partner = fwd, r.dst.name
+            else:
+                oper, partner = rev, r.src.name
+            terms.append((w, oper, oper.T.tocsr(), partner))
+            diag += w * np.asarray(oper.multiply(oper).sum(axis=1)).ravel()
+        out[t.name] = (terms, diag)
+    return out
+
+
 def build_update_operator(
     network: HeteroNetwork,
     weights: WeightMatrix,
@@ -181,23 +201,17 @@ def build_update_operator(
     type_name: str,
     ops: dict | None = None,
 ) -> UpdateOperator:
-    """Assemble the update operator for one type from the partners' factors."""
+    """Attach the partners' current factors to one type's update operator.
+
+    ``ops`` is the result of ``update_constants``; built here when omitted.
+    """
     if ops is None:
-        ops = coupling_operators(network)
-    t = network.type(type_name)
-    terms = []
-    for r in network.incident(type_name):
-        w = weights.weight(type_name, r.name)
-        if not w:
-            continue
-        fwd, rev = ops[r.name]
-        if r.src.name == type_name:
-            oper, partner = fwd, r.dst.name
-        else:
-            oper, partner = rev, r.src.name
-        p_state = state[partner]
-        terms.append((w, oper, p_state.U, p_state.d))
-    return UpdateOperator(t.size, terms)
+        ops = update_constants(network, weights)
+    consts, diag = ops[type_name]
+    terms = [
+        (w, oper, oper_t, state[p].U, state[p].d) for w, oper, oper_t, p in consts
+    ]
+    return UpdateOperator(network.type(type_name).size, terms, diag)
 
 
 def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None):
@@ -270,10 +284,11 @@ def sweep_lowrank(
 
     Per type: assemble the update operator against the previous factors,
     subtract its exact diagonal, and project to rank a_t.  The identity is
-    re-added implicitly by the factored representation.
+    re-added implicitly by the factored representation.  ``ops`` is the
+    result of ``update_constants``; built here when omitted.
     """
     if ops is None:
-        ops = coupling_operators(network)
+        ops = update_constants(network, weights)
     new: dict[str, FactoredSimilarity] = {}
     for ti, t in enumerate(network.types):
         op = build_update_operator(network, weights, state, t.name, ops)
@@ -300,15 +315,8 @@ def solve_lowrank(
     """Iterate factored sweeps from S = I; residuals stay in factored form."""
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
-    if check:
-        report = check_convergence_conditions(network, weights)
-        if not report.ok:
-            raise ConditionError(
-                "convergence conditions failed: "
-                f"{len(report.nonstochastic)} non-stochastic columns, "
-                f"overweight types {list(report.overweight)}"
-            )
-    ops = coupling_operators(network)
+    _require_conditions(network, weights, check)
+    ops = update_constants(network, weights)
     state = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
     trace = SolveTrace()
     for it in range(config.max_iter):

@@ -239,6 +239,17 @@ class TestEvalQ:
         assert len(lines) == 2
         assert all("meanQ=" in l and "trials=2" in l for l in lines)
 
+    def test_sweep_mode_counts_unconverged_solves(self, capsys):
+        code, stdout, _ = run(
+            ["eval-q", "--sweep", "0.2:0.3:0.1", "--trials", "3",
+             "--counts", "8,8", "--max-iter", "1", "--seed", "0"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        lines = [l for l in stdout.splitlines() if l.startswith("r=")]
+        assert len(lines) == 2
+        assert all(l.endswith("trials=3 unconverged=3") for l in lines)
+
     def test_missing_inputs_is_config_error(self, capsys):
         code, _, _ = run(["eval-q"], capsys)
         assert code == EXIT_CONFIG

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hetsim
 from hetsim.lowrank import (
@@ -13,7 +15,9 @@ from hetsim.lowrank import (
     similarity_query,
     sweep_lowrank,
     top_k,
+    update_constants,
 )
+from hetsim.model import coupling_operators
 
 
 def planted_symmetric(n, eigenvalues, seed):
@@ -116,7 +120,64 @@ class TestUpdateOperator:
         assert op.spmv_count == 4 * n_terms
 
 
+@st.composite
+def networks_with_factors(draw):
+    """random_network(k in [2, 4], n in [3, 15]) with random factors per type."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(3, 15))
+    spec = hetsim.RandomNetworkSpec(k=k, n=n, seed=draw(st.integers(0, 2**32 - 1)))
+    try:
+        net = hetsim.random_network(spec)
+    except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = {}
+    for t in net.types:
+        rank = draw(st.integers(0, t.size))
+        u, _ = np.linalg.qr(rng.standard_normal((t.size, rank)))
+        state[t.name] = FactoredSimilarity(u, rng.standard_normal(rank))
+    return net, state
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks_with_factors())
+def test_solver_operator_is_the_explicit_weighted_sum(case):
+    """The operator built from the per-solve constants applies, and has the
+    diagonal of, sum_r w_r W_r (I + U_p D_p U_p^T) W_r^T, and is self-adjoint."""
+    net, state = case
+    weights = hetsim.default_weights(net)
+    ops = update_constants(net, weights)
+    couplings = coupling_operators(net)
+    for t in net.types:
+        expected = np.zeros((t.size, t.size))
+        for r in net.incident(t.name):
+            fwd, rev = couplings[r.name]
+            oper, partner = (fwd, r.dst) if r.src.name == t.name else (rev, r.src)
+            w = oper.toarray()
+            s_p = state[partner.name].dense()
+            expected += weights.weight(t.name, r.name) * (w @ s_p @ w.T)
+        op = build_update_operator(net, weights, state, t.name, ops)
+        full = op.apply(np.eye(t.size))
+        np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(full, full.T, rtol=0, atol=1e-12)
+
+
 class TestSweepLowrank:
+    def test_solve_is_chained_sweeps_from_identity(self):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
+        weights = hetsim.default_weights(net)
+        svd = hetsim.SvdConfig(rank=5, seed=7)
+        solved, trace = hetsim.solve_lowrank(
+            net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=4), svd
+        )
+        assert trace.iterations == 4
+        state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        for _ in range(4):
+            state = sweep_lowrank(net, weights, state, svd, ops=None)
+        for name, f in solved.items():
+            assert np.array_equal(f.U, state[name].U)
+            assert np.array_equal(f.d, state[name].d)
+
     def test_no_relations_keeps_identity(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state = {"A": FactoredSimilarity.identity(2)}
