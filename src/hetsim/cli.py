@@ -214,6 +214,8 @@ def cmd_query(args) -> int:
         a = t.index[args.id]
         if args.type not in states:
             raise ConfigError(f"no factors for type {args.type!r}")
+        if states[args.type].n != t.size:
+            raise dataio.BundleError(f"factors for type {args.type!r} do not fit the bundle")
         results = lowrank.top_k(states[args.type], a, args.k)
         for rank, (j, score) in enumerate(results, start=1):
             print(f"{rank},{t.ids[j]},{'%.17g' % score}")

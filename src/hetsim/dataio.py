@@ -50,6 +50,14 @@ def _read_rows(path: Path, expected_header: list[str]):
             yield lineno, row
 
 
+def _fields(entry, path: Path, *keys: str) -> list:
+    """Required keys of one schema or manifest entry, in order."""
+    missing = [k for k in keys if not isinstance(entry, dict) or k not in entry]
+    if missing:
+        raise BundleError(f"{path}: entry {entry!r} lacks {', '.join(missing)}")
+    return [entry[k] for k in keys]
+
+
 def save_network(
     network: HeteroNetwork, bundle_dir, weights: WeightMatrix | None = None
 ) -> None:
@@ -109,22 +117,24 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
 
     type_specs = []
     for tspec in schema.get("types", []):
-        path = bundle / tspec["entities_csv"]
+        name, entities_csv = _fields(tspec, schema_path, "name", "entities_csv")
+        path = bundle / entities_csv
         ids, seen = [], set()
         for lineno, row in _read_rows(path, ["id"]):
             if row[0] in seen:
                 raise BundleError(f"{path}:{lineno}: duplicate id {row[0]!r}")
             seen.add(row[0])
             ids.append(row[0])
-        type_specs.append((tspec["name"], ids))
+        type_specs.append((name, ids))
     id_sets = {name: set(ids) for name, ids in type_specs}
 
     relation_specs = []
     for rspec in schema.get("relations", []):
-        path = bundle / rspec["edges_csv"]
-        src, dst = rspec["src"], rspec["dst"]
+        keys = ("name", "src", "dst", "edges_csv")
+        name, src, dst, edges_csv = _fields(rspec, schema_path, *keys)
+        path = bundle / edges_csv
         if src not in id_sets or dst not in id_sets:
-            raise BundleError(f"{schema_path}: relation {rspec['name']!r} references unknown type")
+            raise BundleError(f"{schema_path}: relation {name!r} references unknown type")
         edges = []
         for lineno, row in _read_rows(path, ["src_id", "dst_id"]):
             if row[0] not in id_sets[src]:
@@ -132,14 +142,15 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
             if row[1] not in id_sets[dst]:
                 raise BundleError(f"{path}:{lineno}: unknown {dst} id {row[1]!r}")
             edges.append((row[0], row[1]))
-        relation_specs.append((rspec["name"], src, dst, edges))
+        relation_specs.append((name, src, dst, edges))
 
     network = build_network(type_specs, relation_specs)
     weights = None
     if "weights" in schema:
-        entries = {
-            (e["type"], e["relation"]): float(e["weight"]) for e in schema["weights"]
-        }
+        entries = {}
+        for e in schema["weights"]:
+            t, r, w = _fields(e, schema_path, "type", "relation", "weight")
+            entries[(t, r)] = float(w)
         weights = WeightMatrix(entries)
     return network, weights
 
@@ -253,23 +264,30 @@ def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     states = {}
-    for tspec in manifest["types"]:
-        n, rank = int(tspec["n"]), int(tspec["rank"])
-        u = np.zeros((n, rank))
-        p = base / tspec["u_csv"]
+    fields = ("name", "n", "rank", "u_csv", "d_csv")
+    for tspec in _fields(manifest, manifest_path, "types")[0]:
+        name, n, rank, u_csv, d_csv = _fields(tspec, manifest_path, *fields)
+        # numpy rejects an index past the end but would wrap a negative one
+        u = np.zeros((int(n), int(rank)))
+        p = base / u_csv
         for lineno, row in _read_rows(p, ["row", "col", "value"]):
             try:
-                u[int(row[0]), int(row[1])] = float(row[2])
+                i, k = int(row[0]), int(row[1])
+                if i < 0 or k < 0:
+                    raise IndexError
+                u[i, k] = float(row[2])
             except (ValueError, IndexError):
-                raise BundleError(f"{p}:{lineno}: malformed factor row") from None
-        d = np.zeros(rank)
-        p = base / tspec["d_csv"]
+                raise BundleError(f"{p}:{lineno}: malformed or out-of-range factor row") from None
+        d = np.zeros(int(rank))
+        p = base / d_csv
         for lineno, row in _read_rows(p, ["k", "value"]):
             try:
-                d[int(row[0])] = float(row[1])
+                if (k := int(row[0])) < 0:
+                    raise IndexError
+                d[k] = float(row[1])
             except (ValueError, IndexError):
-                raise BundleError(f"{p}:{lineno}: malformed factor row") from None
-        states[tspec["name"]] = FactoredSimilarity(u, d)
+                raise BundleError(f"{p}:{lineno}: malformed or out-of-range factor row") from None
+        states[name] = FactoredSimilarity(u, d)
     return states
 
 

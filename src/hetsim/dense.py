@@ -26,9 +26,10 @@ from .model import (
     HeteroNetwork,
     Relation,
     WeightMatrix,
-    check_convergence_conditions,
     column_stochastic,
+    condition_report,
     coupling_operators,
+    weighted_sides,
 )
 
 
@@ -118,34 +119,34 @@ def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float
     }
 
 
-def _sandwich(w: sp.csr_matrix, s: np.ndarray) -> np.ndarray:
-    """W S W^T with sparse W and dense S, keeping the products sparse-dense."""
-    ws = w @ s
-    return (w @ ws.T).T
+def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> dict:
+    """Per type t, ``(B, rows)``: B = [w_1 W_1 | ... | w_m W_m] (CSR) over t's
+    weighted relation sides, taken from ``coupling_operators``' result
+    ``ops``, and per side (W_i, partner, start, stop), the row block of the
+    gather buffer that B multiplies."""
+    plan = {}
+    for t in network.types:
+        sides = weighted_sides(network, weights, ops, t.name)
+        rows, start = [], 0
+        for _, oper, partner in sides:
+            rows.append((oper, partner, start, start + oper.shape[1]))
+            start += oper.shape[1]
+        blocks = [w * oper for w, oper, _ in sides] or [sp.csr_matrix((t.size, 0))]
+        plan[t.name] = (sp.hstack(blocks, format="csr"), rows)
+    return plan
 
 
-def _coupling(
-    network: HeteroNetwork,
-    weights: WeightMatrix,
-    state: SimilaritySet,
-    ops: dict[str, tuple[sp.csr_matrix, sp.csr_matrix]],
-) -> dict[str, np.ndarray]:
-    """Weighted coupling terms, before any diagonal handling.
-
-    Each relation contributes W S_p W^T to both endpoints, with W the
-    operator oriented toward the updated type; the result is symmetric
-    whenever the state is.
-    """
-    acc = {t.name: np.zeros((t.size, t.size)) for t in network.types}
-    for r in network.relations:
-        fwd, rev = ops[r.name]
-        w_src = weights.weight(r.src.name, r.name)
-        if w_src:
-            acc[r.src.name] += w_src * _sandwich(fwd, state[r.dst.name])
-        if r.src.name != r.dst.name:
-            w_dst = weights.weight(r.dst.name, r.name)
-            if w_dst:
-                acc[r.dst.name] += w_dst * _sandwich(rev, state[r.src.name])
+def _coupling(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> dict:
+    """Per type, sum_r w W S_p W^T before any diagonal handling, as B g: the
+    gather buffer g stacks (W_i S_p_i)^T = S_p_i W_i^T over t's sides, one
+    side's product alive at a time."""
+    acc = {}
+    for t in network.types:
+        stacked, rows = plan[t.name]
+        g = np.empty((stacked.shape[1], t.size))
+        for oper, partner, start, stop in rows:
+            g[start:stop] = (oper @ state[partner]).T
+        acc[t.name] = stacked @ g
     return acc
 
 
@@ -155,25 +156,36 @@ def sweep(
     state: SimilaritySet,
     ops: dict | None = None,
 ) -> SimilaritySet:
-    """One Jacobi sweep: every block recomputed from the previous iterate only."""
+    """One Jacobi sweep: every block recomputed from the previous iterate only.
+
+    ``ops`` is ``coupling_plan``'s result, built here when omitted.  Blocks of
+    ``state`` must be symmetric, as every iterate is: the coupling uses
+    (W S_p)^T = S_p W^T."""
     for t in network.types:
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")
     if ops is None:
-        ops = coupling_operators(network)
-    acc = _coupling(network, weights, state, ops)
-    out = {}
-    for name, m in acc.items():
+        ops = coupling_plan(network, weights, coupling_operators(network))
+    acc = _coupling(network, state, ops)
+    for m in acc.values():
         np.fill_diagonal(m, 1.0)
-        out[name] = m
-    return SimilaritySet(out)
+    return SimilaritySet(acc)
 
 
-def _require_conditions(network, weights, check):
+def _require_conditions(network, weights, check, ops, damping=None):
+    """The solvers' precheck on their operators ``ops``; with ``damping`` c,
+    the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type instead."""
     if not check:
         return
-    report = check_convergence_conditions(network, weights)
-    if not report.ok:
+    report = condition_report(network, weights, ops)
+    if damping is not None:
+        for name, bound in report.lyapunov_bounds.items():
+            if damping * bound > 1.0 + 1e-12:
+                raise ConditionError(
+                    f"contraction bound violated for type {name!r}: "
+                    f"c * sum w ||W||_1^2 = {damping * bound:.6g} > 1"
+                )
+    elif not report.ok:
         raise ConditionError(
             "convergence conditions failed: "
             f"{len(report.nonstochastic)} non-stochastic columns, "
@@ -189,13 +201,14 @@ def solve_dense(
 ) -> tuple[SimilaritySet, SolveTrace]:
     """Iterate sweeps from S = I until the summed residual drops below tol."""
     config = config or SolverConfig()
-    _require_conditions(network, weights, check)
     ops = coupling_operators(network)
+    _require_conditions(network, weights, check, ops)
+    plan = coupling_plan(network, weights, ops)
     state = SimilaritySet.identity(network)
     trace = SolveTrace()
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
-        new = sweep(network, weights, state, ops)
+        new = sweep(network, weights, state, plan)
         per_type = residual_by_type(state, new)
         res = sum(per_type.values())
         trace.seconds.append(time.perf_counter() - t0)
@@ -223,20 +236,14 @@ def solve_lyapunov(
     """
     config = config or SolverConfig()
     c = config.damping
-    if check:
-        report = check_convergence_conditions(network, weights)
-        for name, bound in report.lyapunov_bounds.items():
-            if c * bound > 1.0 + 1e-12:
-                raise ConditionError(
-                    f"contraction bound violated for type {name!r}: "
-                    f"c * sum w ||W||_1^2 = {c * bound:.6g} > 1"
-                )
     ops = coupling_operators(network)
+    _require_conditions(network, weights, check, ops, damping=c)
+    plan = coupling_plan(network, weights, ops)
     state = SimilaritySet.identity(network)
     trace = SolveTrace()
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
-        acc = _coupling(network, weights, state, ops)
+        acc = _coupling(network, state, plan)
         out = {}
         for t in network.types:
             m = c * acc[t.name]

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dense import DivergenceError, SolveTrace, SolverConfig, _require_conditions
-from .model import HeteroNetwork, WeightMatrix, coupling_operators
+from .model import HeteroNetwork, WeightMatrix, coupling_operators, weighted_sides
 
 
 @dataclass(frozen=True)
@@ -169,25 +169,19 @@ class _DiagRemoved:
         return self.op.apply(x) - shift
 
 
-def update_constants(network: HeteroNetwork, weights: WeightMatrix) -> dict:
+def update_constants(network: HeteroNetwork, weights: WeightMatrix, couplings=None) -> dict:
     """Per type, the parts of its update operator that depend on the network
     and weights alone, so that a solve builds them once: ``(terms, diagonal)``
     with terms ``(weight, W csr, W^T csr, partner name)`` and the weight-only
-    diagonal sum w * rownorm^2(W)."""
-    couplings = coupling_operators(network)
+    diagonal sum w * rownorm^2(W).  ``couplings`` is ``coupling_operators``'
+    result; built here when omitted."""
+    if couplings is None:
+        couplings = coupling_operators(network)
     out = {}
     for t in network.types:
         terms = []
         diag = np.zeros(t.size)
-        for r in network.incident(t.name):
-            w = weights.weight(t.name, r.name)
-            if not w:
-                continue
-            fwd, rev = couplings[r.name]
-            if r.src.name == t.name:
-                oper, partner = fwd, r.dst.name
-            else:
-                oper, partner = rev, r.src.name
+        for w, oper, partner in weighted_sides(network, weights, couplings, t.name):
             terms.append((w, oper, oper.T.tocsr(), partner))
             diag += w * np.asarray(oper.multiply(oper).sum(axis=1)).ravel()
         out[t.name] = (terms, diag)
@@ -315,8 +309,9 @@ def solve_lowrank(
     """Iterate factored sweeps from S = I; residuals stay in factored form."""
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
-    _require_conditions(network, weights, check)
-    ops = update_constants(network, weights)
+    couplings = coupling_operators(network)
+    _require_conditions(network, weights, check, couplings)
+    ops = update_constants(network, weights, couplings)
     state = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
     trace = SolveTrace()
     for it in range(config.max_iter):

@@ -257,10 +257,11 @@ class ConditionReport:
 
 def operator_one_norm(op: StochasticOperator) -> float:
     """Max column sum; <= 1 for (sub)stochastic operators."""
-    m = op.values
-    if m.nnz == 0:
-        return 0.0
-    return float(np.abs(m).sum(axis=0).max())
+    return _one_norm(op.values)
+
+
+def _one_norm(m: sp.spmatrix) -> float:
+    return float(np.abs(m).sum(axis=0).max()) if m.nnz else 0.0
 
 
 def coupling_operators(
@@ -275,6 +276,17 @@ def coupling_operators(
     return out
 
 
+def weighted_sides(network: HeteroNetwork, weights: WeightMatrix, ops, type_name: str) -> list:
+    """(weight, W, partner name) per incident relation with nonzero weight, W
+    from ``coupling_operators``' result ``ops``, oriented toward the type."""
+    out = []
+    for r in network.incident(type_name):
+        if w := weights.weight(type_name, r.name):
+            fwd, rev = ops[r.name]
+            out.append((w, fwd, r.dst.name) if r.src.name == type_name else (w, rev, r.src.name))
+    return out
+
+
 def check_convergence_conditions(
     network: HeteroNetwork, weights: WeightMatrix
 ) -> ConditionReport:
@@ -284,16 +296,17 @@ def check_convergence_conditions(
     (b) types whose incident weight sum exceeds 1, and reports the damped
     contraction bound sum_r w_r * ||W_r||_1^2 per type.
     """
+    return condition_report(network, weights, coupling_operators(network))
+
+
+def condition_report(network: HeteroNetwork, weights: WeightMatrix, ops) -> ConditionReport:
+    """``check_convergence_conditions`` on ``coupling_operators``' result ``ops``."""
     bad: list[tuple[str, str, int]] = []
-    ops: dict[tuple[str, str], StochasticOperator] = {}
     for r in network.relations:
-        for direction in ("forward", "reverse"):
-            op = column_stochastic(r, direction)
-            ops[(r.name, direction)] = op
-            sums = np.asarray(op.values.sum(axis=0)).ravel()
+        for direction, m in zip(("forward", "reverse"), ops[r.name]):
+            sums = np.asarray(m.sum(axis=0)).ravel()
             off = (np.abs(sums - 1.0) > STOCHASTIC_TOL) & (sums != 0.0)
-            for col in np.nonzero(off)[0]:
-                bad.append((r.name, direction, int(col)))
+            bad.extend((r.name, direction, int(col)) for col in np.nonzero(off)[0])
 
     sums: dict[str, float] = {}
     over: list[str] = []
@@ -303,13 +316,7 @@ def check_convergence_conditions(
         sums[t.name] = s
         if s > 1.0 + STOCHASTIC_TOL:
             over.append(t.name)
-        bound = 0.0
-        for r in network.incident(t.name):
-            # The operator acting on t's side is forward when t is the
-            # source, reverse when it is the destination.
-            direction = "forward" if r.src.name == t.name else "reverse"
-            norm1 = operator_one_norm(ops[(r.name, direction)])
-            bound += weights.weight(t.name, r.name) * norm1**2
-        bounds[t.name] = bound
+        sides = weighted_sides(network, weights, ops, t.name)
+        bounds[t.name] = sum((w * _one_norm(m) ** 2 for w, m, _ in sides), 0.0)
 
     return ConditionReport(tuple(bad), tuple(over), sums, bounds)

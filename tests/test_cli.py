@@ -1,6 +1,10 @@
 """Command-line behavior: subcommands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import hetsim
 from hetsim import dataio
 from hetsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, main
+from hetsim.lowrank import FactoredSimilarity
 
 
 def write_toy_bundle(path):
@@ -23,6 +28,18 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(argv):
+    """The CLI in its own interpreter, where an uncaught exception would print
+    a traceback to stderr; returns (exit code, stderr)."""
+    src = str(Path(hetsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetsim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 class TestSolve:
@@ -330,6 +347,65 @@ class TestQueryAndHeatmap:
         )
         assert code == EXIT_OK
         assert "<svg" in out.read_text()
+
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_query_factors_of_another_size_is_io_error(self, tmp_path, capsys, size):
+        bundle = tmp_path / "toy"
+        write_toy_bundle(bundle)  # type A has 2 entities
+        other = hetsim.build_network(
+            [("A", [f"x{i}" for i in range(size)]), ("B", ["b1"])], []
+        )
+        states = {
+            "A": FactoredSimilarity(np.ones((size, 1)), np.ones(1)),
+            "B": FactoredSimilarity.identity(1),
+        }
+        dataio.save_factors(states, other, tmp_path / "factors", seed=0, iterations=1)
+        code, _, stderr = run(
+            ["query", "--factors", str(tmp_path / "factors"), "--bundle", str(bundle),
+             "--type", "A", "--id", "a1"],
+            capsys,
+        )
+        assert code == EXIT_IO
+        assert "do not fit the bundle" in stderr
+
+
+class TestMissingKeys:
+    @pytest.mark.parametrize("section,key", [
+        ("types", "name"), ("types", "entities_csv"),
+        ("relations", "name"), ("relations", "src"), ("relations", "dst"),
+        ("relations", "edges_csv"),
+        ("weights", "type"), ("weights", "relation"), ("weights", "weight"),
+    ])
+    def test_schema_entry_without_key_is_io_error(self, tmp_path, section, key):
+        bundle = tmp_path / "toy"
+        net = write_toy_bundle(bundle)
+        dataio.save_network(net, bundle, weights=hetsim.default_weights(net))
+        path = bundle / dataio.SCHEMA_NAME
+        schema = json.loads(path.read_text())
+        del schema[section][0][key]
+        path.write_text(json.dumps(schema))
+        code, stderr = run_process(["check", "--bundle", str(bundle)])
+        assert code == EXIT_IO
+        assert "Traceback" not in stderr
+        assert f"lacks {key}" in stderr
+
+    @pytest.mark.parametrize("key", ["types", "name", "n", "rank", "u_csv", "d_csv"])
+    def test_factor_manifest_without_key_is_io_error(self, tmp_path, key):
+        net = hetsim.build_network([("A", ["a1", "a2"])], [])
+        states = {"A": FactoredSimilarity(np.ones((2, 1)), np.ones(1))}
+        dataio.save_factors(states, net, tmp_path / "f", seed=0, iterations=1)
+        path = tmp_path / "f" / dataio.FACTORS_NAME
+        manifest = json.loads(path.read_text())
+        del (manifest if key == "types" else manifest["types"][0])[key]
+        path.write_text(json.dumps(manifest))
+        code, stderr = run_process(
+            ["heatmap", "--factors", str(tmp_path / "f"), "--type", "A",
+             "--out", str(tmp_path / "a.svg")]
+        )
+        assert code == EXIT_IO
+        assert "Traceback" not in stderr
+        assert f"lacks {key}" in stderr
 
 
 class TestCheck:

@@ -137,6 +137,20 @@ class TestFactorsRoundTrip:
         with pytest.raises(BundleError, match="missing file"):
             dataio.load_factors(tmp_path)
 
+    @pytest.mark.parametrize("name,row", [
+        ("U_A.csv", "-1,0,0.5"), ("U_A.csv", "0,-1,0.5"), ("U_A.csv", "2,0,0.5"),
+        ("U_A.csv", "0,1,0.5"), ("D_A.csv", "-1,0.5"), ("D_A.csv", "1,0.5"),
+    ])
+    def test_out_of_range_index_reported_with_line(self, tmp_path, name, row):
+        net = hetsim.build_network([("A", ["a1", "a2"])], [])
+        states = {"A": FactoredSimilarity(np.ones((2, 1)), np.ones(1))}
+        dataio.save_factors(states, net, tmp_path, seed=0, iterations=1)
+        path = tmp_path / name
+        lineno = len(path.read_text().splitlines()) + 1
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(BundleError, match=f"{name}:{lineno}: "):
+            dataio.load_factors(tmp_path)
+
 
 class TestPointsRoundTrip:
     def test_round_trip(self, tmp_path):

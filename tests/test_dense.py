@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hetsim
+from hetsim import model
 from hetsim.dense import ConditionError, classical_simrank, residual, sweep
 
 from conftest import single_type_graph
@@ -53,6 +56,113 @@ class TestSweep:
         bad = hetsim.SimilaritySet({"A": np.eye(3), "B": np.eye(1)})
         with pytest.raises(ValueError):
             sweep(toy_network, toy_weights, bad)
+
+
+def hand_built_network():
+    """A self-relation, two parallel relations between one pair, and an
+    isolated type."""
+    return hetsim.build_network(
+        [("A", ["a0", "a1", "a2"]), ("B", ["b0", "b1", "b2", "b3"]),
+         ("C", ["c0", "c1"]), ("D", ["d0", "d1"])],
+        [
+            ("aa", "A", "A", [("a0", "a1"), ("a1", "a2"), ("a2", "a0"), ("a0", "a2")]),
+            ("ab1", "A", "B", [("a0", "b0"), ("a1", "b1"), ("a1", "b2")]),
+            ("ab2", "A", "B", [("a2", "b3"), ("a0", "b3"), ("a2", "b0")]),
+            ("bc", "B", "C", [("b0", "c0"), ("b3", "c1")]),
+        ],
+    )
+
+
+@st.composite
+def networks_weights_states(draw):
+    """random_network(k in [2, 4], n in [2, 15]), a single relation-free type
+    (k = 1, which random_network rejects) or the hand-built network, with
+    random weights (some zero; C's side of "bc" always) and random symmetric
+    states."""
+    k, n = draw(st.integers(0, 4)), draw(st.integers(2, 15))
+    if k == 0:
+        net = hand_built_network()
+    elif k == 1:
+        net = hetsim.build_network([("c0", [f"v{i}" for i in range(n)])], [])
+    else:
+        spec = hetsim.RandomNetworkSpec(k=k, n=n, seed=draw(st.integers(0, 2**32 - 1)))
+        try:
+            net = hetsim.random_network(spec)
+        except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+            assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = {
+        (t.name, r.name): rng.random() if rng.random() > 0.2 else 0.0
+        for t in net.types for r in net.incident(t.name)
+    }
+    if ("C", "bc") in entries:
+        entries[("C", "bc")] = 0.0
+    blocks = {}
+    for t in net.types:
+        m = rng.random((t.size, t.size))
+        blocks[t.name] = m + m.T
+    return net, hetsim.WeightMatrix(entries), hetsim.SimilaritySet(blocks)
+
+
+def explicit_sweep(net, weights, state):
+    """sum_r w W S_p W^T with dense column-normalized W, then diag := 1."""
+    out = {}
+    for t in net.types:
+        acc = np.zeros((t.size, t.size))
+        for r in net.incident(t.name):
+            a = r.adjacency().toarray()
+            a, partner = (a, r.dst) if r.src.name == t.name else (a.T, r.src)
+            w = a / np.maximum(a.sum(axis=0), 1)
+            acc += weights.weight(t.name, r.name) * (w @ state[partner.name] @ w.T)
+        np.fill_diagonal(acc, 1.0)
+        out[t.name] = acc
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks_weights_states())
+def test_sweep_is_the_explicit_weighted_sum(case):
+    net, weights, state = case
+    new = sweep(net, weights, state)
+    for name, expected in explicit_sweep(net, weights, state).items():
+        np.testing.assert_allclose(new[name], expected, rtol=0, atol=1e-13)
+
+
+def test_solve_is_chained_sweeps_from_identity():
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=20, seed=3))
+    weights = hetsim.default_weights(net)
+    solved, trace = hetsim.solve_dense(
+        net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=5)
+    )
+    assert trace.iterations == 5
+    state = hetsim.SimilaritySet.identity(net)
+    for _ in range(5):
+        state = sweep(net, weights, state, ops=None)
+    for t in net.types:
+        assert np.array_equal(solved[t.name], state[t.name])
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        hetsim.solve_dense,
+        hetsim.solve_lyapunov,
+        lambda net, w, cfg: hetsim.solve_lowrank(net, w, cfg, hetsim.SvdConfig(rank=3)),
+    ],
+    ids=["dense", "lyapunov", "lowrank"],
+)
+def test_each_operator_normalized_once_per_solve(solve, monkeypatch):
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=12, seed=1))
+    calls = []
+
+    def counting(relation, direction):
+        calls.append((relation.name, direction))
+        return original(relation, direction)
+
+    original = model.column_stochastic
+    monkeypatch.setattr(model, "column_stochastic", counting)
+    solve(net, hetsim.default_weights(net), hetsim.SolverConfig(max_iter=2))
+    assert len(calls) == 2 * len(net.relations)
 
 
 class TestSolveDense:
