@@ -32,7 +32,6 @@ from .model import (
     HeteroNetwork,
     NetworkError,
     Relation,
-    StochasticOperator,
     WeightMatrix,
     build_network,
     check_convergence_conditions,

@@ -66,16 +66,21 @@ def _parse_sweep(text: str) -> list[float]:
     return grid
 
 
-def _resolve_ranks(text: str, network: model.HeteroNetwork):
-    if text == "full":
-        return {t.name: t.size for t in network.types}
-    try:
-        rank = int(text)
-    except ValueError:
-        raise ConfigError(f"--ranks must be an integer or 'full', got {text!r}") from None
-    if rank < 1:
-        raise ConfigError("--ranks must be at least 1")
-    return {t.name: min(rank, t.size) for t in network.types}
+def _svd_config(network: model.HeteroNetwork, ranks: str, oversample, power, seed):
+    """The low-rank solver's settings; ``ranks`` is an integer or 'full'."""
+    if ranks == "full":
+        rank = max((t.size for t in network.types), default=1)
+    else:
+        try:
+            rank = int(ranks)
+        except ValueError:
+            raise ConfigError(f"--ranks must be an integer or 'full', got {ranks!r}") from None
+        if rank < 1:
+            raise ConfigError("--ranks must be at least 1")
+    return lowrank.SvdConfig(
+        rank={t.name: min(rank, t.size) for t in network.types},
+        oversample=oversample, power=power, seed=seed,
+    )
 
 
 def cmd_check(args) -> int:
@@ -103,19 +108,12 @@ def cmd_solve(args) -> int:
     check = not args.force
 
     if args.solver == "lowrank":
-        svd = lowrank.SvdConfig(
-            rank=_resolve_ranks(args.ranks, network),
-            oversample=args.oversample,
-            power=args.power,
-            seed=args.seed,
-        )
+        svd = _svd_config(network, args.ranks, args.oversample, args.power, args.seed)
         states, trace = lowrank.solve_lowrank(network, weights, config, svd, check=check)
         dataio.save_factors(states, network, out / "factors", args.seed, trace.iterations)
-    elif args.solver == "dense":
-        state, trace = dense.solve_dense(network, weights, config, check=check)
-        dataio.save_similarity(state, network, out / "similarity.csv")
-    else:  # lyapunov
-        state, trace = dense.solve_lyapunov(network, weights, config, check=check)
+    else:
+        solve = dense.solve_dense if args.solver == "dense" else dense.solve_lyapunov
+        state, trace = solve(network, weights, config, check=check)
         dataio.save_similarity(state, network, out / "similarity.csv")
 
     trace.write_csv(out / "trace.csv")
@@ -151,12 +149,7 @@ def cmd_synth(args) -> int:
 def _solve_layer_blocks(network, solver, config, ranks_text, oversample, power, seed):
     weights = model.default_weights(network)
     if solver == "lowrank":
-        svd = lowrank.SvdConfig(
-            rank=_resolve_ranks(ranks_text, network),
-            oversample=oversample,
-            power=power,
-            seed=seed,
-        )
+        svd = _svd_config(network, ranks_text, oversample, power, seed)
         states, trace = lowrank.solve_lowrank(network, weights, config, svd)
         return {name: f.dense() for name, f in states.items()}, trace.converged
     state, trace = dense.solve_dense(network, weights, config)
@@ -209,34 +202,24 @@ def cmd_query(args) -> int:
             raise ConfigError("--factors queries need --bundle for entity ids")
         network, _ = dataio.load_network(args.bundle)
         t = network.type(args.type)
-        if args.id not in t.index:
+        ids, index = t.ids, t.index
+        if args.id not in index:
             raise ConfigError(f"unknown entity id {args.id!r} in type {args.type!r}")
-        a = t.index[args.id]
         if args.type not in states:
             raise ConfigError(f"no factors for type {args.type!r}")
         if states[args.type].n != t.size:
             raise dataio.BundleError(f"factors for type {args.type!r} do not fit the bundle")
-        results = lowrank.top_k(states[args.type], a, args.k)
-        for rank, (j, score) in enumerate(results, start=1):
-            print(f"{rank},{t.ids[j]},{'%.17g' % score}")
+        results = lowrank.top_k(states[args.type], index[args.id], args.k)
     elif args.similarity:
         ids, block = dataio.read_similarity_block(args.similarity, args.type)
         index = {eid: i for i, eid in enumerate(ids)}
         if args.id not in index:
             raise ConfigError(f"unknown entity id {args.id!r} in type {args.type!r}")
-        a = index[args.id]
-        scores = block[a].copy()
-        order = np.lexsort((np.arange(len(ids)), -scores))
-        shown = 0
-        for j in order:
-            if j == a:
-                continue
-            print(f"{shown + 1},{ids[j]},{'%.17g' % scores[j]}")
-            shown += 1
-            if shown == args.k:
-                break
+        results = lowrank.rank_others(block[index[args.id]], index[args.id], args.k)
     else:
         raise ConfigError("query needs --factors or --similarity")
+    for rank, (j, score) in enumerate(results, start=1):
+        print(f"{rank},{ids[j]},{'%.17g' % score}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -48,6 +49,20 @@ def _read_rows(path: Path, expected_header: list[str]):
             if len(row) != len(expected_header):
                 raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
             yield lineno, row
+
+
+def _read_json(path: Path) -> dict:
+    """A JSON document whose top level is an object."""
+    if not path.is_file():
+        raise BundleError(f"missing file: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise BundleError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise BundleError(f"{path}: top level is not a JSON object")
+    return doc
 
 
 def _fields(entry, path: Path, *keys: str) -> list:
@@ -107,13 +122,7 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     """Load a bundle; index order is file row order, so loading is order-stable."""
     bundle = Path(bundle_dir)
     schema_path = bundle / SCHEMA_NAME
-    if not schema_path.is_file():
-        raise BundleError(f"missing file: {schema_path}")
-    with open(schema_path, encoding="utf-8") as fh:
-        try:
-            schema = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"{schema_path}: invalid JSON ({exc})") from exc
+    schema = _read_json(schema_path)
 
     type_specs = []
     for tspec in schema.get("types", []):
@@ -150,6 +159,13 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
         entries = {}
         for e in schema["weights"]:
             t, r, w = _fields(e, schema_path, "type", "relation", "weight")
+            try:
+                number = not isinstance(w, bool) and math.isfinite(w)
+            except (TypeError, OverflowError):  # not a number, or an int past float range
+                number = False
+            if not number:
+                raise BundleError(f"{schema_path}: weight {w!r} of ({t!r}, {r!r}) "
+                                  "is not a finite number")
             entries[(t, r)] = float(w)
         weights = WeightMatrix(entries)
     return network, weights
@@ -259,10 +275,7 @@ def save_factors(
 def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
     base = Path(in_dir)
     manifest_path = base / FACTORS_NAME
-    if not manifest_path.is_file():
-        raise BundleError(f"missing file: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
     states = {}
     fields = ("name", "n", "rank", "u_csv", "d_csv")
     for tspec in _fields(manifest, manifest_path, "types")[0]:

@@ -26,8 +26,8 @@ from .model import (
     HeteroNetwork,
     Relation,
     WeightMatrix,
+    check_convergence_conditions,
     column_stochastic,
-    condition_report,
     coupling_operators,
     weighted_sides,
 )
@@ -101,22 +101,46 @@ class SimilaritySet:
 
 def residual(prev: SimilaritySet, new: SimilaritySet) -> float:
     """Sum over types of the Frobenius norm of the block difference."""
+    return sum(residual_by_type(prev, new).values(), 0.0)
+
+
+def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float]:
+    """Frobenius norm of the block difference per type, in ``prev``'s order."""
     if prev.blocks.keys() != new.blocks.keys():
         raise ValueError("similarity sets cover different types")
-    total = 0.0
+    out = {}
     for name, b in prev.blocks.items():
         other = new.blocks[name]
         if other.shape != b.shape:
             raise ValueError(f"shape mismatch on type {name!r}")
-        total += float(np.linalg.norm(other - b))
-    return total
+        out[name] = float(np.linalg.norm(other - b))
+    return out
 
 
-def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float]:
-    return {
-        name: float(np.linalg.norm(new.blocks[name] - b))
-        for name, b in prev.blocks.items()
-    }
+def iterate(state, step, residuals, finite, config: SolverConfig):
+    """The fixed-point loop every solver runs: ``state = step(state)`` until
+    the summed residual drops to ``config.tol`` or ``config.max_iter`` sweeps.
+
+    ``residuals(old, new)`` gives the per-type residuals, summed in their
+    order; ``finite(state)`` guards each iterate.  Returns the last iterate
+    and its ``SolveTrace``; raises ``DivergenceError`` on a non-finite one.
+    """
+    trace = SolveTrace()
+    for _ in range(config.max_iter):
+        t0 = time.perf_counter()
+        new = step(state)
+        per_type = residuals(state, new)
+        res = sum(per_type.values())
+        trace.seconds.append(time.perf_counter() - t0)
+        trace.residuals.append(res)
+        trace.per_type.append(per_type)
+        state = new
+        if not finite(state):
+            raise DivergenceError(f"non-finite values at iteration {trace.iterations}")
+        if res <= config.tol:
+            trace.converged = True
+            break
+    return state, trace
 
 
 def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> dict:
@@ -177,7 +201,7 @@ def _require_conditions(network, weights, check, ops, damping=None):
     the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type instead."""
     if not check:
         return
-    report = condition_report(network, weights, ops)
+    report = check_convergence_conditions(network, weights, ops)
     if damping is not None:
         for name, bound in report.lyapunov_bounds.items():
             if damping * bound > 1.0 + 1e-12:
@@ -193,6 +217,28 @@ def _require_conditions(network, weights, check, ops, damping=None):
         )
 
 
+def _solve_coupled(network, weights, config, check, damping=None):
+    """Iterate from S = I: Jacobi sweeps, or with ``damping`` c the Lyapunov
+    map S = c * coupling(S) + (1 - c) I."""
+    ops = coupling_operators(network)
+    _require_conditions(network, weights, check, ops, damping)
+    plan = coupling_plan(network, weights, ops)
+
+    def step(state):
+        if damping is None:
+            return sweep(network, weights, state, plan)
+        acc = _coupling(network, state, plan)
+        for m in acc.values():
+            m *= damping
+            m[np.diag_indices_from(m)] += 1.0 - damping
+        return SimilaritySet(acc)
+
+    return iterate(
+        SimilaritySet.identity(network), step, residual_by_type,
+        SimilaritySet.allfinite, config,
+    )
+
+
 def solve_dense(
     network: HeteroNetwork,
     weights: WeightMatrix,
@@ -200,27 +246,7 @@ def solve_dense(
     check: bool = True,
 ) -> tuple[SimilaritySet, SolveTrace]:
     """Iterate sweeps from S = I until the summed residual drops below tol."""
-    config = config or SolverConfig()
-    ops = coupling_operators(network)
-    _require_conditions(network, weights, check, ops)
-    plan = coupling_plan(network, weights, ops)
-    state = SimilaritySet.identity(network)
-    trace = SolveTrace()
-    for _ in range(config.max_iter):
-        t0 = time.perf_counter()
-        new = sweep(network, weights, state, plan)
-        per_type = residual_by_type(state, new)
-        res = sum(per_type.values())
-        trace.seconds.append(time.perf_counter() - t0)
-        trace.residuals.append(res)
-        trace.per_type.append(per_type)
-        state = new
-        if not state.allfinite():
-            raise DivergenceError("non-finite similarity values encountered")
-        if res <= config.tol:
-            trace.converged = True
-            break
-    return state, trace
+    return _solve_coupled(network, weights, config or SolverConfig(), check)
 
 
 def solve_lyapunov(
@@ -235,33 +261,7 @@ def solve_lyapunov(
     inspect ``diag`` of the returned blocks separately if needed.
     """
     config = config or SolverConfig()
-    c = config.damping
-    ops = coupling_operators(network)
-    _require_conditions(network, weights, check, ops, damping=c)
-    plan = coupling_plan(network, weights, ops)
-    state = SimilaritySet.identity(network)
-    trace = SolveTrace()
-    for _ in range(config.max_iter):
-        t0 = time.perf_counter()
-        acc = _coupling(network, state, plan)
-        out = {}
-        for t in network.types:
-            m = c * acc[t.name]
-            m[np.diag_indices_from(m)] += 1.0 - c
-            out[t.name] = m
-        new = SimilaritySet(out)
-        per_type = residual_by_type(state, new)
-        res = sum(per_type.values())
-        trace.seconds.append(time.perf_counter() - t0)
-        trace.residuals.append(res)
-        trace.per_type.append(per_type)
-        state = new
-        if not state.allfinite():
-            raise DivergenceError("non-finite similarity values encountered")
-        if res <= config.tol:
-            trace.converged = True
-            break
-    return state, trace
+    return _solve_coupled(network, weights, config, check, config.damping)
 
 
 def classical_simrank(relation: Relation, decay: float, iters: int) -> np.ndarray:
@@ -276,7 +276,7 @@ def classical_simrank(relation: Relation, decay: float, iters: int) -> np.ndarra
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
     n = relation.src.size
-    p = column_stochastic(relation, "forward").values.tocsr()
+    p = column_stochastic(relation, "forward").tocsr()
     s = np.eye(n)
     for _ in range(iters):
         s = decay * (p.T @ (p.T @ s).T).T  # decay * P^T S P

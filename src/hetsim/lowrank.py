@@ -9,14 +9,13 @@ densify a block.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import DivergenceError, SolveTrace, SolverConfig, _require_conditions
+from .dense import DivergenceError, SolveTrace, SolverConfig, _require_conditions, iterate
 from .model import HeteroNetwork, WeightMatrix, coupling_operators, weighted_sides
 
 
@@ -69,21 +68,17 @@ def top_k(state: FactoredSimilarity, a: int, k: int) -> list[tuple[int, float]]:
     n = state.n
     if not 0 <= a < n:
         raise IndexError(f"entity index out of range for block of size {n}")
+    scores = state.U @ (state.U[a] * state.d) if state.rank else np.zeros(n)
+    return rank_others(scores, a, k)
+
+
+def rank_others(scores: np.ndarray, a: int, k: int) -> list[tuple[int, float]]:
+    """(index, score) of the k highest ``scores`` other than entry a, in
+    descending order, ties broken by index."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if state.rank:
-        scores = state.U @ (state.U[a] * state.d)
-    else:
-        scores = np.zeros(n)
-    order = np.lexsort((np.arange(n), -scores))
-    out = []
-    for j in order:
-        if j == a:
-            continue
-        out.append((int(j), float(scores[j])))
-        if len(out) == k:
-            break
-    return out
+    order = np.lexsort((np.arange(scores.size), -scores))
+    return [(int(j), float(scores[j])) for j in order[order != a][:k]]
 
 
 @dataclass(frozen=True)
@@ -237,6 +232,8 @@ def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None
     for _ in range(power):
         q, _ = np.linalg.qr(apply_(q))
     b = q.T @ apply_(q)
+    if not np.isfinite(b).all():
+        raise DivergenceError("non-finite values in the projected operator")
     b = 0.5 * (b + b.T)
     lam, v = np.linalg.eigh(b)
     order = np.argsort(-np.abs(lam), kind="stable")[:rank]
@@ -312,25 +309,12 @@ def solve_lowrank(
     couplings = coupling_operators(network)
     _require_conditions(network, weights, check, couplings)
     ops = update_constants(network, weights, couplings)
-    state = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
-    trace = SolveTrace()
-    for it in range(config.max_iter):
-        t0 = time.perf_counter()
-        new = sweep_lowrank(network, weights, state, svd, ops=ops)
-        per_type = {
-            name: factored_residual(state[name], new[name]) for name in state
-        }
-        res = sum(per_type.values())
-        trace.seconds.append(time.perf_counter() - t0)
-        trace.residuals.append(res)
-        trace.per_type.append(per_type)
-        state = new
-        if any(
-            not (np.isfinite(f.U).all() and np.isfinite(f.d).all())
-            for f in state.values()
-        ):
-            raise DivergenceError("non-finite factor entries encountered")
-        if res <= config.tol:
-            trace.converged = True
-            break
-    return state, trace
+    return iterate(
+        {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
+        lambda state: sweep_lowrank(network, weights, state, svd, ops=ops),
+        lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
+        lambda state: all(
+            np.isfinite(f.U).all() and np.isfinite(f.d).all() for f in state.values()
+        ),
+        config,
+    )

@@ -167,24 +167,13 @@ def build_network(
     return HeteroNetwork(types, tuple(relations))
 
 
-@dataclass(frozen=True)
-class StochasticOperator:
-    """Column-stochastic (or column-substochastic) normalized relation.
-
-    ``forward`` aggregates dst -> src (shape |src| x |dst|); ``reverse`` the
-    opposite.  Columns with no edges stay all-zero (isolated entities).
-    """
-
-    relation: Relation
-    direction: str  # "forward" | "reverse"
-    values: sp.csc_matrix = field(repr=False)
-
-
-def column_stochastic(relation: Relation, direction: str) -> StochasticOperator:
+def column_stochastic(relation: Relation, direction: str) -> sp.csc_matrix:
     """Normalize a relation so that every nonempty column sums to 1.
 
-    Each column with k >= 1 incident edges gets entries 1/k; the sparsity
-    pattern equals the relation's edge pattern.
+    ``forward`` aggregates dst -> src (shape |src| x |dst|); ``reverse`` the
+    opposite.  Each column with k >= 1 incident edges gets entries 1/k; the
+    sparsity pattern equals the relation's edge pattern, and columns with no
+    edges stay all-zero (isolated entities).
     """
     if direction == "forward":
         rows, cols = relation.src_idx, relation.dst_idx
@@ -198,8 +187,7 @@ def column_stochastic(relation: Relation, direction: str) -> StochasticOperator:
     data = np.zeros(rows.size)
     if rows.size:
         data = 1.0 / counts[cols]
-    values = sp.csc_matrix((data, (rows, cols)), shape=shape)
-    return StochasticOperator(relation, direction, values)
+    return sp.csc_matrix((data, (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -255,12 +243,8 @@ class ConditionReport:
         return not self.nonstochastic and not self.overweight
 
 
-def operator_one_norm(op: StochasticOperator) -> float:
-    """Max column sum; <= 1 for (sub)stochastic operators."""
-    return _one_norm(op.values)
-
-
-def _one_norm(m: sp.spmatrix) -> float:
+def operator_one_norm(m: sp.spmatrix) -> float:
+    """Max absolute column sum; <= 1 for (sub)stochastic operators."""
     return float(np.abs(m).sum(axis=0).max()) if m.nnz else 0.0
 
 
@@ -270,8 +254,8 @@ def coupling_operators(
     """Per relation: (forward, reverse) normalized operators as CSR."""
     out = {}
     for r in network.relations:
-        fwd = column_stochastic(r, "forward").values.tocsr()
-        rev = column_stochastic(r, "reverse").values.tocsr()
+        fwd = column_stochastic(r, "forward").tocsr()
+        rev = column_stochastic(r, "reverse").tocsr()
         out[r.name] = (fwd, rev)
     return out
 
@@ -288,19 +272,17 @@ def weighted_sides(network: HeteroNetwork, weights: WeightMatrix, ops, type_name
 
 
 def check_convergence_conditions(
-    network: HeteroNetwork, weights: WeightMatrix
+    network: HeteroNetwork, weights: WeightMatrix, ops=None
 ) -> ConditionReport:
     """Check the sufficient conditions for fixed-point convergence.
 
     Flags (a) normalized columns that are neither stochastic nor isolated,
     (b) types whose incident weight sum exceeds 1, and reports the damped
-    contraction bound sum_r w_r * ||W_r||_1^2 per type.
+    contraction bound sum_r w_r * ||W_r||_1^2 per type.  ``ops`` is
+    ``coupling_operators``' result; built here when omitted.
     """
-    return condition_report(network, weights, coupling_operators(network))
-
-
-def condition_report(network: HeteroNetwork, weights: WeightMatrix, ops) -> ConditionReport:
-    """``check_convergence_conditions`` on ``coupling_operators``' result ``ops``."""
+    if ops is None:
+        ops = coupling_operators(network)
     bad: list[tuple[str, str, int]] = []
     for r in network.relations:
         for direction, m in zip(("forward", "reverse"), ops[r.name]):
@@ -317,6 +299,6 @@ def condition_report(network: HeteroNetwork, weights: WeightMatrix, ops) -> Cond
         if s > 1.0 + STOCHASTIC_TOL:
             over.append(t.name)
         sides = weighted_sides(network, weights, ops, t.name)
-        bounds[t.name] = sum((w * _one_norm(m) ** 2 for w, m, _ in sides), 0.0)
+        bounds[t.name] = sum((w * operator_one_norm(m) ** 2 for w, m, _ in sides), 0.0)
 
     return ConditionReport(tuple(bad), tuple(over), sums, bounds)

@@ -125,6 +125,20 @@ class TestSolve:
         assert "did not converge" in stderr
         assert (tmp_path / "o" / "trace.csv").is_file()
 
+    @pytest.mark.parametrize("solver", ["dense", "lyapunov", "lowrank"])
+    def test_diverging_solve_exits_three(self, tmp_path, capsys, solver):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=8, seed=0))
+        huge = hetsim.WeightMatrix({k: 1e200 for k in hetsim.default_weights(net).entries})
+        dataio.save_network(net, tmp_path / "b", weights=huge)
+        with np.errstate(all="ignore"):
+            code, _, stderr = run(
+                ["solve", "--bundle", str(tmp_path / "b"), "--out",
+                 str(tmp_path / "o"), "--solver", solver, "--force"],
+                capsys,
+            )
+        assert code == EXIT_NOCONVERGE
+        assert "non-finite" in stderr
+
     def test_missing_bundle_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(
             ["solve", "--bundle", str(tmp_path / "nope"), "--out",
@@ -328,6 +342,19 @@ class TestQueryAndHeatmap:
         assert len(scores) == 6
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_query_non_positive_k_is_config_error(self, tmp_path, capsys, k):
+        bundle, similarity = self._solved_toy(tmp_path, capsys)
+        run(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "f"),
+             "--solver", "lowrank", "--ranks", "full"], capsys)
+        for source in (["--similarity", str(similarity)],
+                       ["--factors", str(tmp_path / "f" / "factors"), "--bundle", str(bundle)]):
+            code, stdout, _ = run(
+                ["query", *source, "--type", "A", "--id", "a1", "--k", k], capsys
+            )
+            assert code == EXIT_CONFIG
+            assert stdout.splitlines()[1:] == []
+
     def test_unknown_id_is_config_error(self, tmp_path, capsys):
         _, similarity = self._solved_toy(tmp_path, capsys)
         code, _, _ = run(
@@ -371,6 +398,26 @@ class TestQueryAndHeatmap:
 
 
 class TestMissingKeys:
+    def _schema(self, tmp_path):
+        """A toy bundle with explicit weights, and its schema.json path."""
+        bundle = tmp_path / "toy"
+        net = write_toy_bundle(bundle)
+        dataio.save_network(net, bundle, weights=hetsim.default_weights(net))
+        return bundle, bundle / dataio.SCHEMA_NAME
+
+    def _manifest(self, tmp_path):
+        """A one-type factor set, and its factors.json path."""
+        net = hetsim.build_network([("A", ["a1", "a2"])], [])
+        states = {"A": FactoredSimilarity(np.ones((2, 1)), np.ones(1))}
+        dataio.save_factors(states, net, tmp_path / "f", seed=0, iterations=1)
+        return tmp_path / "f", tmp_path / "f" / dataio.FACTORS_NAME
+
+    def _exits_with_io_error(self, argv):
+        code, stderr = run_process(argv)
+        assert code == EXIT_IO
+        assert "Traceback" not in stderr
+        return stderr
+
     @pytest.mark.parametrize("section,key", [
         ("types", "name"), ("types", "entities_csv"),
         ("relations", "name"), ("relations", "src"), ("relations", "dst"),
@@ -378,34 +425,48 @@ class TestMissingKeys:
         ("weights", "type"), ("weights", "relation"), ("weights", "weight"),
     ])
     def test_schema_entry_without_key_is_io_error(self, tmp_path, section, key):
-        bundle = tmp_path / "toy"
-        net = write_toy_bundle(bundle)
-        dataio.save_network(net, bundle, weights=hetsim.default_weights(net))
-        path = bundle / dataio.SCHEMA_NAME
+        bundle, path = self._schema(tmp_path)
         schema = json.loads(path.read_text())
         del schema[section][0][key]
         path.write_text(json.dumps(schema))
-        code, stderr = run_process(["check", "--bundle", str(bundle)])
-        assert code == EXIT_IO
-        assert "Traceback" not in stderr
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
         assert f"lacks {key}" in stderr
+
+    @pytest.mark.parametrize("weight", [None, "0.5", True, [1.0]])
+    def test_schema_weight_not_a_number_is_io_error(self, tmp_path, weight):
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        schema["weights"][0]["weight"] = weight
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert "not a finite number" in stderr
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
+    def test_unreadable_schema_is_io_error(self, tmp_path, text):
+        bundle, path = self._schema(tmp_path)
+        path.write_text(text)
+        self._exits_with_io_error(["check", "--bundle", str(bundle)])
 
     @pytest.mark.parametrize("key", ["types", "name", "n", "rank", "u_csv", "d_csv"])
     def test_factor_manifest_without_key_is_io_error(self, tmp_path, key):
-        net = hetsim.build_network([("A", ["a1", "a2"])], [])
-        states = {"A": FactoredSimilarity(np.ones((2, 1)), np.ones(1))}
-        dataio.save_factors(states, net, tmp_path / "f", seed=0, iterations=1)
-        path = tmp_path / "f" / dataio.FACTORS_NAME
+        factors, path = self._manifest(tmp_path)
         manifest = json.loads(path.read_text())
         del (manifest if key == "types" else manifest["types"][0])[key]
         path.write_text(json.dumps(manifest))
-        code, stderr = run_process(
-            ["heatmap", "--factors", str(tmp_path / "f"), "--type", "A",
+        stderr = self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "A",
              "--out", str(tmp_path / "a.svg")]
         )
-        assert code == EXIT_IO
-        assert "Traceback" not in stderr
         assert f"lacks {key}" in stderr
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
+    def test_unreadable_factor_manifest_is_io_error(self, tmp_path, text):
+        factors, path = self._manifest(tmp_path)
+        path.write_text(text)
+        self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "A",
+             "--out", str(tmp_path / "a.svg")]
+        )
 
 
 class TestCheck:

@@ -142,15 +142,18 @@ def test_solve_is_chained_sweeps_from_identity():
         assert np.array_equal(solved[t.name], state[t.name])
 
 
-@pytest.mark.parametrize(
+def _solve_lowrank(net, weights, config=None, check=True):
+    return hetsim.solve_lowrank(net, weights, config, hetsim.SvdConfig(rank=3), check=check)
+
+
+every_solver = pytest.mark.parametrize(
     "solve",
-    [
-        hetsim.solve_dense,
-        hetsim.solve_lyapunov,
-        lambda net, w, cfg: hetsim.solve_lowrank(net, w, cfg, hetsim.SvdConfig(rank=3)),
-    ],
+    [hetsim.solve_dense, hetsim.solve_lyapunov, _solve_lowrank],
     ids=["dense", "lyapunov", "lowrank"],
 )
+
+
+@every_solver
 def test_each_operator_normalized_once_per_solve(solve, monkeypatch):
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=12, seed=1))
     calls = []
@@ -372,7 +375,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             hetsim.SolverConfig(damping=1.0)
 
-    def test_trace_lengths_match(self, toy_network, toy_weights):
-        _, trace = hetsim.solve_dense(toy_network, toy_weights)
+    @every_solver
+    def test_trace_lengths_match(self, solve):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=10, seed=2))
+        _, trace = solve(net, hetsim.default_weights(net), hetsim.SolverConfig(max_iter=5))
         assert len(trace.residuals) == len(trace.seconds) == trace.iterations
         assert len(trace.per_type) == trace.iterations
+        for res, per_type in zip(trace.residuals, trace.per_type):
+            assert list(per_type) == [t.name for t in net.types]
+            assert res == sum(per_type[t.name] for t in net.types)
+
+    @every_solver
+    def test_non_finite_iterate_raises_divergence(self, solve):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=8, seed=0))
+        huge = hetsim.WeightMatrix({k: 1e200 for k in hetsim.default_weights(net).entries})
+        with np.errstate(all="ignore"), pytest.raises(hetsim.DivergenceError):
+            solve(net, huge, check=False)

@@ -81,13 +81,13 @@ class TestBuildNetwork:
 class TestColumnStochastic:
     def test_forward_shared_destination(self, toy_network):
         op = column_stochastic(toy_network.relation("r"), "forward")
-        dense = op.values.toarray()
+        dense = op.toarray()
         assert dense.shape == (2, 1)
         np.testing.assert_allclose(dense, [[0.5], [0.5]])
 
     def test_reverse_unit_columns(self, toy_network):
         op = column_stochastic(toy_network.relation("r"), "reverse")
-        dense = op.values.toarray()
+        dense = op.toarray()
         assert dense.shape == (1, 2)
         np.testing.assert_allclose(dense, [[1.0, 1.0]])
 
@@ -97,7 +97,7 @@ class TestColumnStochastic:
             [("r", "A", "B", [("a1", "b1")])],
         )
         op = column_stochastic(net.relation("r"), "forward")
-        dense = op.values.toarray()
+        dense = op.toarray()
         np.testing.assert_allclose(dense[:, 1], 0.0)
 
     def test_column_sums_are_one_or_zero(self):
@@ -105,7 +105,7 @@ class TestColumnStochastic:
         for r in net.relations:
             for direction in ("forward", "reverse"):
                 sums = np.asarray(
-                    column_stochastic(r, direction).values.sum(axis=0)
+                    column_stochastic(r, direction).sum(axis=0)
                 ).ravel()
                 for s in sums:
                     assert s == 0.0 or abs(s - 1.0) <= STOCHASTIC_TOL
@@ -113,8 +113,8 @@ class TestColumnStochastic:
     def test_forward_reverse_transposed_patterns(self):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=15, seed=1))
         for r in net.relations:
-            fwd = column_stochastic(r, "forward").values
-            rev = column_stochastic(r, "reverse").values
+            fwd = column_stochastic(r, "forward")
+            rev = column_stochastic(r, "reverse")
             assert np.array_equal(
                 (fwd != 0).toarray(), (rev != 0).toarray().T
             )
