@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="cap worker parallelism (solvers are sequential; recorded for reproducibility)",
+        help="recorded in the configuration line only; sets no thread count (result "
+             "files are byte-identical at a fixed BLAS thread count)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

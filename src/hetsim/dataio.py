@@ -3,15 +3,24 @@
 All text formats are UTF-8 CSV with a header row; the bundle schema is one
 JSON document naming the per-type entity files and per-relation edge files.
 Values are written with 17 significant digits so doubles round-trip exactly.
+
+The similarity and factor files and the heatmap are written and read in
+whole-array passes, with the bytes and error messages of a row-by-row
+``csv`` loop: ids are quoted by the ``csv`` module, values are formatted
+with ``%.17g``, and a reader that meets any fault replays the file row by
+row to name the line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -24,13 +33,22 @@ SCHEMA_NAME = "schema.json"
 FACTORS_NAME = "factors.json"
 
 _FMT = "%.17g"
+_SIM_HEADER = ["type", "row_id", "col_id", "value"]
+# CSV records read per pass of the streaming readers: bounds the rows held at once.
+_CHUNK_ROWS = 1 << 11
 
 
 class BundleError(ValueError):
     """Missing files, unknown ids, or malformed rows (reported with line numbers)."""
 
 
-def _read_rows(path: Path, expected_header: list[str]):
+class _Malformed(Exception):
+    """A fault met by a vectorized reader; ``_replay`` names its line."""
+
+
+@contextmanager
+def _csv_body(path: Path, expected_header: list[str]):
+    """A csv reader over the rows of ``path`` after its checked header."""
     if not path.is_file():
         raise BundleError(f"missing file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -43,12 +61,105 @@ def _read_rows(path: Path, expected_header: list[str]):
             raise BundleError(
                 f"{path}:1: expected header {','.join(expected_header)!r}"
             )
+        yield reader
+
+
+def _read_rows(path: Path, expected_header: list[str]):
+    with _csv_body(path, expected_header) as reader:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(expected_header):
                 raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
             yield lineno, row
+
+
+def _row_chunks(path: Path, expected_header: list[str], first: str | None = None):
+    """The non-blank rows after the header, streamed in non-empty lists.
+
+    Only rows whose first field is ``first`` are kept (every row when it is
+    None), but the field count of every row is checked: a wrong one raises
+    ``_Malformed``.
+    """
+    width = len(expected_header)
+    with _csv_body(path, expected_header) as reader:
+        while True:
+            start = reader.line_num
+            lines = islice(reader, _CHUNK_ROWS)
+            if first is None:
+                rows = list(lines)
+            else:
+                rows = [r for r in lines if len(r) != width or r[0] == first]
+            if reader.line_num == start:  # end of file
+                return
+            if set(map(len, rows)) - {width}:
+                rows = [r for r in rows if r]  # blank lines are skipped
+                if set(map(len, rows)) - {width}:
+                    raise _Malformed
+            if rows:
+                yield rows
+
+
+def _replay(path: Path, expected_header: list[str], check) -> NoReturn:
+    """Walk ``path`` row by row and raise the first error ``check`` finds.
+
+    The vectorized readers come here on any fault, so an error names the
+    same line, with the same message, as a row-by-row reader.
+    """
+    for lineno, row in _read_rows(path, expected_header):
+        check(lineno, row)
+    raise BundleError(f"{path}: unreadable rows")
+
+
+def _floats(fields: tuple[str, ...]) -> np.ndarray:
+    """``float()`` of each field: numpy parses a ``str`` as ``float()`` does."""
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        raise _Malformed from None
+
+
+def _positions(ids: tuple[str, ...], index: Mapping[str, int]) -> np.ndarray:
+    try:
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+    except KeyError:
+        raise _Malformed from None
+
+
+def _put(target: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
+    """``target.flat[flat] = values``, the last of repeated positions winning
+    as in a row-by-row loop."""
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    target.flat[flat[last]] = values[last]
+
+
+def _put_symmetric(block: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
+    """``block[i, j] = block[j, i] = value``, row after row."""
+    n = block.shape[1]
+    _put(block, np.stack([i * n + j, j * n + i], axis=1).ravel(), np.repeat(values, 2))
+
+
+def _quoted(fields) -> list[str]:
+    """Each field as ``csv.writer`` writes it within a row (QUOTE_MINIMAL)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for field in fields:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([field, ""])  # alone, an empty field would be written as ""
+        out.append(buf.getvalue()[: -len(",\r\n")])
+    return out
+
+
+def _csv_text(row_format: str, *columns: list) -> str:
+    """One ``row_format`` line per row, filled with that row's item of each
+    column, in a single ``%`` pass."""
+    rows = len(columns[0])
+    args = [None] * (len(columns) * rows)
+    for c, column in enumerate(columns):
+        args[c :: len(columns)] = column
+    return row_format * rows % tuple(args)
 
 
 def _read_json(path: Path) -> dict:
@@ -65,12 +176,41 @@ def _read_json(path: Path) -> dict:
     return doc
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        return False
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_COUNT = (_is_count, "an integer >= 0")
+# What each schema or manifest key holds; every other key holds a string.
+_KINDS = {
+    "types": _LIST, "relations": _LIST, "weights": _LIST, "n": _COUNT, "rank": _COUNT,
+    "weight": (_is_finite_number, "a finite number"),
+}
+
+
 def _fields(entry, path: Path, *keys: str) -> list:
-    """Required keys of one schema or manifest entry, in order."""
+    """Required keys of one schema or manifest entry, in order, each checked
+    for its JSON type."""
     missing = [k for k in keys if not isinstance(entry, dict) or k not in entry]
     if missing:
         raise BundleError(f"{path}: entry {entry!r} lacks {', '.join(missing)}")
-    return [entry[k] for k in keys]
+    values = [entry[k] for k in keys]
+    for key, value in zip(keys, values):
+        holds, kind = _KINDS.get(key, _STRING)
+        if not holds(value):
+            raise BundleError(
+                f"{path}: entry {entry!r} has {key} {value!r}, which is not {kind}"
+            )
+    return values
 
 
 def save_network(
@@ -123,9 +263,13 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     bundle = Path(bundle_dir)
     schema_path = bundle / SCHEMA_NAME
     schema = _read_json(schema_path)
+    # A schema without types or relations has none.
+    type_entries, relation_entries = _fields(
+        {"types": [], "relations": [], **schema}, schema_path, "types", "relations"
+    )
 
     type_specs = []
-    for tspec in schema.get("types", []):
+    for tspec in type_entries:
         name, entities_csv = _fields(tspec, schema_path, "name", "entities_csv")
         path = bundle / entities_csv
         ids, seen = [], set()
@@ -138,7 +282,7 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     id_sets = {name: set(ids) for name, ids in type_specs}
 
     relation_specs = []
-    for rspec in schema.get("relations", []):
+    for rspec in relation_entries:
         keys = ("name", "src", "dst", "edges_csv")
         name, src, dst, edges_csv = _fields(rspec, schema_path, *keys)
         path = bundle / edges_csv
@@ -157,15 +301,8 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     weights = None
     if "weights" in schema:
         entries = {}
-        for e in schema["weights"]:
+        for e in _fields(schema, schema_path, "weights")[0]:
             t, r, w = _fields(e, schema_path, "type", "relation", "weight")
-            try:
-                number = not isinstance(w, bool) and math.isfinite(w)
-            except (TypeError, OverflowError):  # not a number, or an int past float range
-                number = False
-            if not number:
-                raise BundleError(f"{schema_path}: weight {w!r} of ({t!r}, {r!r}) "
-                                  "is not a finite number")
             entries[(t, r)] = float(w)
         weights = WeightMatrix(entries)
     return network, weights
@@ -177,33 +314,46 @@ def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
         if not np.isfinite(block).all():
             raise ValueError(f"non-finite similarity values in type {name!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["type", "row_id", "col_id", "value"])
+        fh.write(",".join(_SIM_HEADER) + "\r\n")
         for t in network.types:
-            block = state.blocks[t.name]
-            for i in range(t.size):
-                for j in range(i, t.size):
-                    w.writerow([t.name, t.ids[i], t.ids[j], _FMT % block[i, j]])
+            rows, cols = np.triu_indices(t.size)
+            ids = np.array(_quoted(t.ids), dtype=object)
+            row_format = _quoted([t.name])[0].replace("%", "%%") + f",%s,%s,{_FMT}\r\n"
+            fh.write(_csv_text(
+                row_format,
+                ids[rows].tolist(), ids[cols].tolist(),
+                state.blocks[t.name][rows, cols].tolist(),
+            ))
 
 
 def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
     blocks = {t.name: np.eye(t.size) for t in network.types}
     types = {t.name: t for t in network.types}
     p = Path(path)
-    for lineno, row in _read_rows(p, ["type", "row_id", "col_id", "value"]):
-        tname, rid, cid, value = row
-        if tname not in types:
-            raise BundleError(f"{p}:{lineno}: unknown type {tname!r}")
-        t = types[tname]
-        if rid not in t.index or cid not in t.index:
-            raise BundleError(f"{p}:{lineno}: unknown entity id")
-        i, j = t.index[rid], t.index[cid]
-        try:
-            v = float(value)
-        except ValueError:
-            raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
-        blocks[tname][i, j] = v
-        blocks[tname][j, i] = v
+    try:
+        for rows in _row_chunks(p, _SIM_HEADER):
+            for tname in {r[0] for r in rows}:
+                if tname not in types:
+                    raise _Malformed
+                index = types[tname].index
+                _, rids, cids, values = zip(*(r for r in rows if r[0] == tname))
+                _put_symmetric(blocks[tname], _positions(rids, index),
+                               _positions(cids, index), _floats(values))
+    except _Malformed:
+
+        def check(lineno, row):
+            tname, rid, cid, value = row
+            if tname not in types:
+                raise BundleError(f"{p}:{lineno}: unknown type {tname!r}")
+            t = types[tname]
+            if rid not in t.index or cid not in t.index:
+                raise BundleError(f"{p}:{lineno}: unknown entity id")
+            try:
+                float(value)
+            except ValueError:
+                raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
+
+        _replay(p, _SIM_HEADER, check)
     return SimilaritySet(blocks)
 
 
@@ -214,29 +364,29 @@ def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     for upper-triangle dumps.
     """
     p = Path(path)
-    order: list[str] = []
     seen: dict[str, int] = {}
-    entries: list[tuple[str, str, float]] = []
-    for lineno, row in _read_rows(p, ["type", "row_id", "col_id", "value"]):
-        if row[0] != type_name:
-            continue
-        for eid in (row[1], row[2]):
-            if eid not in seen:
-                seen[eid] = len(order)
-                order.append(eid)
-        try:
-            entries.append((row[1], row[2], float(row[3])))
-        except ValueError:
-            raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
-    if not order:
+    parts = []
+    try:
+        for rows in _row_chunks(p, _SIM_HEADER, first=type_name):
+            _, rids, cids, values = zip(*rows)
+            for eid in dict.fromkeys(e for pair in zip(rids, cids) for e in pair):
+                seen.setdefault(eid, len(seen))
+            parts.append((_positions(rids, seen), _positions(cids, seen), _floats(values)))
+    except _Malformed:
+
+        def check(lineno, row):
+            if row[0] == type_name:
+                try:
+                    float(row[3])
+                except ValueError:
+                    raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
+
+        _replay(p, _SIM_HEADER, check)
+    if not seen:
         raise BundleError(f"{p}: no rows for type {type_name!r}")
-    n = len(order)
-    block = np.eye(n)
-    for rid, cid, v in entries:
-        i, j = seen[rid], seen[cid]
-        block[i, j] = v
-        block[j, i] = v
-    return order, block
+    block = np.eye(len(seen))
+    _put_symmetric(block, *(np.concatenate(c) for c in zip(*parts)))
+    return list(seen), block
 
 
 def save_factors(
@@ -256,20 +406,46 @@ def save_factors(
         manifest["types"].append(
             {"name": t.name, "n": t.size, "rank": f.rank, "u_csv": u_name, "d_csv": d_name}
         )
+        rows, cols = np.indices(f.U.shape).reshape(2, -1)
         with open(out / u_name, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "value"])
-            for i in range(f.n):
-                for k in range(f.rank):
-                    w.writerow([i, k, _FMT % f.U[i, k]])
+            fh.write("row,col,value\r\n")
+            fh.write(_csv_text(f"%d,%d,{_FMT}\r\n",
+                               rows.tolist(), cols.tolist(), f.U.ravel().tolist()))
         with open(out / d_name, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "value"])
-            for k in range(f.rank):
-                w.writerow([k, _FMT % f.d[k]])
+            fh.write("k,value\r\n")
+            fh.write(_csv_text(f"%d,{_FMT}\r\n", list(range(f.rank)), f.d.tolist()))
     with open(out / FACTORS_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.ndarray:
+    """An array from its coordinate CSV: one index column per axis, then the value."""
+    out = np.zeros(shape)
+    axes = len(shape)
+    try:
+        for rows in _row_chunks(path, header):
+            *indices, values = zip(*rows)
+            try:
+                flat = np.ravel_multi_index(  # rejects negative indices too
+                    [np.array(i, dtype=np.intp) for i in indices], shape
+                )
+            except (ValueError, OverflowError):
+                raise _Malformed from None
+            _put(out, flat, _floats(values))
+    except _Malformed:
+
+        def check(lineno, row):
+            try:
+                index = [int(x) for x in row[:axes]]
+                float(row[axes])
+            except ValueError:
+                index = None
+            if index is None or not all(0 <= i < n for i, n in zip(index, shape)):
+                raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")
+
+        _replay(path, header, check)
+    return out
 
 
 def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
@@ -280,26 +456,8 @@ def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
     fields = ("name", "n", "rank", "u_csv", "d_csv")
     for tspec in _fields(manifest, manifest_path, "types")[0]:
         name, n, rank, u_csv, d_csv = _fields(tspec, manifest_path, *fields)
-        # numpy rejects an index past the end but would wrap a negative one
-        u = np.zeros((int(n), int(rank)))
-        p = base / u_csv
-        for lineno, row in _read_rows(p, ["row", "col", "value"]):
-            try:
-                i, k = int(row[0]), int(row[1])
-                if i < 0 or k < 0:
-                    raise IndexError
-                u[i, k] = float(row[2])
-            except (ValueError, IndexError):
-                raise BundleError(f"{p}:{lineno}: malformed or out-of-range factor row") from None
-        d = np.zeros(int(rank))
-        p = base / d_csv
-        for lineno, row in _read_rows(p, ["k", "value"]):
-            try:
-                if (k := int(row[0])) < 0:
-                    raise IndexError
-                d[k] = float(row[1])
-            except (ValueError, IndexError):
-                raise BundleError(f"{p}:{lineno}: malformed or out-of-range factor row") from None
+        u = _read_factor(base / u_csv, ["row", "col", "value"], (n, rank))
+        d = _read_factor(base / d_csv, ["k", "value"], (rank,))
         states[name] = FactoredSimilarity(u, d)
     return states
 
@@ -336,7 +494,8 @@ def export_heatmap(matrix: np.ndarray, path, cell: int = 8) -> None:
     """Matrix heatmap as SVG: row/column order preserved, linear value ramp.
 
     Values map linearly from the matrix minimum (light) to the maximum
-    (dark); a constant matrix renders entirely light.
+    (dark); a constant matrix renders entirely light.  Each channel is
+    ``low + frac * (high - low)`` rounded half to even.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -346,22 +505,25 @@ def export_heatmap(matrix: np.ndarray, path, cell: int = 8) -> None:
     lo, hi = float(m.min()), float(m.max())
     span = hi - lo
     rows, cols = m.shape
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cell}" '
-        f'height="{rows * cell}" viewBox="0 0 {cols * cell} {rows * cell}">\n'
-        f"<!-- linear ramp: {lo:.6g} -> rgb{_RAMP_LOW}, {hi:.6g} -> rgb{_RAMP_HIGH} -->\n"
-    ]
-    for i in range(rows):
-        for j in range(cols):
-            frac = (m[i, j] - lo) / span if span > 0 else 0.0
-            rgb = tuple(
-                round(a + frac * (b - a)) for a, b in zip(_RAMP_LOW, _RAMP_HIGH)
-            )
-            parts.append(
-                f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
-                f'fill="rgb({rgb[0]},{rgb[1]},{rgb[2]})"/>\n'
-            )
-    parts.append("</svg>\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        frac = (m - lo) / span if span > 0 else np.zeros_like(m)
+    if not np.isfinite(frac).all():  # the value range overflows a double
+        raise ValueError("heatmap value range is not finite")
+    r, g, b = (
+        np.rint(low + frac * (high - low)).astype(np.int64)
+        for low, high in zip(_RAMP_LOW, _RAMP_HIGH)
+    )
+    colors, cell_color = np.unique((r << 16) | (g << 8) | b, return_inverse=True)
+    fills = [f'fill="rgb({c >> 16},{c >> 8 & 255},{c & 255})"/>\n' for c in colors.tolist()]
+    xs = [f'<rect x="{j * cell}" y="' for j in range(cols)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cell}" '
+            f'height="{rows * cell}" viewBox="0 0 {cols * cell} {rows * cell}">\n'
+            f"<!-- linear ramp: {lo:.6g} -> rgb{_RAMP_LOW}, {hi:.6g} -> rgb{_RAMP_HIGH} -->\n"
+        )
+        for i, row in enumerate(cell_color.reshape(rows, cols).tolist()):
+            y = f'{i * cell}" width="{cell}" height="{cell}" '
+            fh.write("".join([x + y + fills[c] for x, c in zip(xs, row)]))
+        fh.write("</svg>\n")

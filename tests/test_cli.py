@@ -441,6 +441,30 @@ class TestMissingKeys:
         stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
         assert "not a finite number" in stderr
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("types", "entities_csv", 3), ("types", "name", ["A"]),
+        ("relations", "src", ["A"]), ("relations", "edges_csv", None),
+        ("weights", "type", ["A"]), ("weights", "relation", 1),
+    ])
+    def test_schema_value_of_wrong_type_is_io_error(self, tmp_path, section, key, value):
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        schema[section][0][key] = value
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{key} {value!r}, which is not a string" in stderr
+
+    @pytest.mark.parametrize("section,value", [
+        ("types", 3), ("relations", {"name": "r"}), ("weights", "w"),
+    ])
+    def test_schema_section_not_a_list_is_io_error(self, tmp_path, section, value):
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        schema[section] = value
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{section} {value!r}, which is not a list" in stderr
+
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
     def test_unreadable_schema_is_io_error(self, tmp_path, text):
         bundle, path = self._schema(tmp_path)
@@ -458,6 +482,24 @@ class TestMissingKeys:
              "--out", str(tmp_path / "a.svg")]
         )
         assert f"lacks {key}" in stderr
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("n", None, "an integer >= 0"), ("n", "two", "an integer >= 0"),
+        ("n", -1, "an integer >= 0"), ("n", True, "an integer >= 0"),
+        ("rank", [1], "an integer >= 0"), ("rank", 1.0, "an integer >= 0"),
+        ("u_csv", 3, "a string"), ("d_csv", None, "a string"),
+        ("name", ["A"], "a string"), ("types", 3, "a list"),
+    ])
+    def test_factor_manifest_value_of_wrong_type_is_io_error(self, tmp_path, key, value, kind):
+        factors, path = self._manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        (manifest if key == "types" else manifest["types"][0])[key] = value
+        path.write_text(json.dumps(manifest))
+        stderr = self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "A",
+             "--out", str(tmp_path / "a.svg")]
+        )
+        assert f"{key} {value!r}, which is not {kind}" in stderr
 
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
     def test_unreadable_factor_manifest_is_io_error(self, tmp_path, text):

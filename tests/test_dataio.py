@@ -2,9 +2,14 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hetsim
 from hetsim import dataio
@@ -204,3 +209,331 @@ class TestHeatmap:
             line for line in text.splitlines() if 'x="10" y="0"' in line
         )
         assert dark in cell_line
+
+
+# -- byte identity with the row-by-row writers ----------------------------------
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def golden_inputs():
+    """A fixed network whose ids need csv quoting (commas, double quotes, a
+    line break, an empty id, non-ASCII text), seeded values with edge cases,
+    factors including a rank-0 type, and a heatmap matrix with ties."""
+    net = hetsim.build_network(
+        [("paper", ["p,1", 'p"2"', "Zürich", "東京", "", " lead", "line\nbreak"]),
+         ("venue", ["v1", "v,2", 'Ωmega"', "ve%s"])],
+        [],
+    )
+    rng = np.random.default_rng(2015)
+    blocks = {}
+    for t in net.types:
+        a = rng.standard_normal((t.size, t.size)) * 10.0 ** rng.integers(-8, 9, (t.size, t.size))
+        a = np.triu(a) + np.triu(a, 1).T
+        np.fill_diagonal(a, 1.0)
+        blocks[t.name] = a
+    edge = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-310]
+    for k, v in enumerate(edge):
+        blocks["paper"][0, k + 1] = blocks["paper"][k + 1, 0] = v
+    factors = {
+        "paper": FactoredSimilarity(rng.standard_normal((7, 3)) * [1e-300, 1.0, 1e300],
+                                    np.array([2.5, -1 / 7, 0.0])),
+        "venue": FactoredSimilarity.identity(4),
+    }
+    heat = np.vstack([rng.random((5, 9)), np.array([0, 0.5, 1, 1.5, 2, 0.25, 1.75, 0.75, 1.25])])
+    return net, hetsim.SimilaritySet(blocks), factors, heat
+
+
+def write_golden(out_dir):
+    """Write the golden files from ``golden_inputs``.  The files under
+    tests/data were written by this function running the row-by-row csv
+    writers that the vectorized ones replaced."""
+    out = Path(out_dir)
+    net, state, factors, heat = golden_inputs()
+    dataio.save_similarity(state, net, out / "similarity.csv")
+    dataio.save_factors(factors, net, out / "factors", seed=5, iterations=7)
+    dataio.export_heatmap(heat, out / "heatmap.svg")
+
+
+GOLDEN_FILES = ["similarity.csv", "heatmap.svg", "factors/factors.json",
+                "factors/U_paper.csv", "factors/D_paper.csv",
+                "factors/U_venue.csv", "factors/D_venue.csv"]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", GOLDEN_FILES)
+    def test_writers_reproduce_golden_bytes(self, tmp_path, name):
+        write_golden(tmp_path)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_golden_files_read_back_exactly(self):
+        net, state, factors, _ = golden_inputs()
+        loaded = dataio.load_similarity(GOLDEN / "similarity.csv", net)
+        for t in net.types:
+            assert loaded[t.name].tobytes() == state[t.name].tobytes()
+            ids, block = dataio.read_similarity_block(GOLDEN / "similarity.csv", t.name)
+            assert ids == list(t.ids)
+            assert block.tobytes() == state[t.name].tobytes()
+        for name, f in dataio.load_factors(GOLDEN / "factors").items():
+            assert f.U.tobytes() == factors[name].U.tobytes()
+            assert f.d.tobytes() == factors[name].d.tobytes()
+
+
+def heatmap_loop(matrix, cell=8) -> str:
+    """The per-cell renderer that export_heatmap replaced, kept as its oracle."""
+    m = np.asarray(matrix, dtype=float)
+    lo, hi = float(m.min()), float(m.max())
+    span = hi - lo
+    rows, cols = m.shape
+    low, high = dataio._RAMP_LOW, dataio._RAMP_HIGH
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cell}" '
+        f'height="{rows * cell}" viewBox="0 0 {cols * cell} {rows * cell}">\n'
+        f"<!-- linear ramp: {lo:.6g} -> rgb{low}, {hi:.6g} -> rgb{high} -->\n"
+    ]
+    for i in range(rows):
+        for j in range(cols):
+            frac = (m[i, j] - lo) / span if span > 0 else 0.0
+            rgb = tuple(round(a + frac * (b - a)) for a, b in zip(low, high))
+            parts.append(
+                f'<rect x="{j * cell}" y="{i * cell}" width="{cell}" height="{cell}" '
+                f'fill="rgb({rgb[0]},{rgb[1]},{rgb[2]})"/>\n'
+            )
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def assert_heatmap_matches_loop(matrix, path, cell=8):
+    try:
+        with np.errstate(all="ignore"):
+            expected = heatmap_loop(matrix, cell).encode("utf-8")
+    except ValueError:  # round() of NaN: the value range overflows
+        with pytest.raises(ValueError):
+            dataio.export_heatmap(matrix, path, cell)
+        return
+    dataio.export_heatmap(matrix, path, cell)
+    assert path.read_bytes() == expected
+
+
+class TestHeatmapOracle:
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 0.125]]),  # ties at .5 before rounding
+        np.array([[0.0, 1.0, 2.0, 3.0]]) / 3,
+        np.full((3, 4), -2.5),
+        np.full((1, 1), 7.0),
+        np.linspace(-1, 1, 11)[None, :],
+        np.linspace(-1, 1, 11)[:, None],
+        np.array([[1e-300, 2e-300], [3e-300, 0.0]]),
+        np.array([[5e-324, 0.0, 1e-323]]),
+        np.array([[1e300, -1e300], [0.0, 1.0]]),
+        np.array([[1.7976931348623157e308, -1.7976931348623157e308]]),  # overflows
+        np.array([[1.0, 1.0 + 2.0**-52]]),
+    ])
+    @pytest.mark.parametrize("cell", [8, 1, 13])
+    def test_fixed_cases(self, tmp_path, matrix, cell):
+        assert_heatmap_matches_loop(matrix, tmp_path / "h.svg", cell)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 7), st.integers(1, 7)),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1, 1),
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+            ),
+        )
+    )
+    def test_random_matrices(self, tmp_path_factory, matrix):
+        assert_heatmap_matches_loop(matrix, tmp_path_factory.mktemp("h") / "h.svg")
+
+    def test_random_uniform_block(self, tmp_path):
+        m = np.random.default_rng(3).random((40, 33))
+        assert_heatmap_matches_loop(m, tmp_path / "h.svg")
+
+
+# -- round trips -----------------------------------------------------------------
+
+# Ids drawn from any text, with the characters csv must quote made common.
+QUOTABLE = st.characters(codec="utf-8") | st.sampled_from(',"\r\n %')
+ID_TEXT = st.text(QUOTABLE, max_size=6)
+NAMES = st.text("abcxyz_019", min_size=1, max_size=5)  # safe in file names
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def networks(draw, names=NAMES, relations=False):
+    names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    types = [(name, draw(st.lists(ID_TEXT, min_size=1, max_size=6, unique=True)))
+             for name in names]
+    rels = []
+    if relations:
+        ids = dict(types)
+        for k in range(draw(st.integers(0, 3))):
+            src, dst = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            pairs = [(a, b) for a in ids[src] for b in ids[dst]]
+            edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+            rels.append((f"r{k}", src, dst, edges))
+    return hetsim.build_network(types, rels)
+
+
+@st.composite
+def symmetric_blocks(draw, network):
+    blocks = {}
+    for t in network.types:
+        upper = draw(hnp.arrays(float, (t.size, t.size), elements=FINITE))
+        blocks[t.name] = np.triu(upper) + np.triu(upper, 1).T
+    return hetsim.SimilaritySet(blocks)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_similarity_round_trip(self, tmp_path_factory, data):
+        net = data.draw(networks(names=st.text(QUOTABLE, min_size=1, max_size=4)))
+        state = data.draw(symmetric_blocks(net))
+        path = tmp_path_factory.mktemp("s") / "similarity.csv"
+        dataio.save_similarity(state, net, path)
+        loaded = dataio.load_similarity(path, net)
+        for t in net.types:
+            assert same_bits(loaded[t.name], state[t.name])
+            ids, block = dataio.read_similarity_block(path, t.name)
+            assert ids == list(t.ids)
+            assert same_bits(block, state[t.name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_factors_round_trip(self, tmp_path_factory, data):
+        net = data.draw(networks())
+        states = {}
+        for t in net.types:
+            rank = data.draw(st.integers(0, 3))
+            u = data.draw(hnp.arrays(float, (t.size, rank), elements=FINITE))
+            d = data.draw(hnp.arrays(float, rank, elements=FINITE))
+            states[t.name] = FactoredSimilarity(u, d)
+        out = tmp_path_factory.mktemp("f")
+        dataio.save_factors(states, net, out, seed=1, iterations=2)
+        loaded = dataio.load_factors(out)
+        assert loaded.keys() == states.keys()
+        for name, f in states.items():
+            assert same_bits(loaded[name].U, f.U)
+            assert same_bits(loaded[name].d, f.d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks(relations=True), st.booleans())
+    def test_network_round_trip(self, tmp_path_factory, net, weighted):
+        weights = hetsim.default_weights(net) if weighted else None
+        out = tmp_path_factory.mktemp("b")
+        dataio.save_network(net, out, weights=weights)
+        loaded, loaded_weights = dataio.load_network(out)
+        assert [(t.name, t.ids) for t in loaded.types] == [(t.name, t.ids) for t in net.types]
+        assert [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in loaded.relations] == [
+            (r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations
+        ]
+        if weighted:
+            assert loaded_weights.entries == weights.entries
+        else:
+            assert loaded_weights is None
+
+
+# -- error paths of the streaming readers ----------------------------------------
+
+def exactly(message):
+    return f"^{re.escape(message)}$"
+
+
+class TestStreamingReaderErrors:
+    """Errors name the line a row-by-row reader would, at any chunk size."""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=lambda c: f"chunk{c or 'default'}")
+    def chunk(self, request, monkeypatch):
+        """Lines per streaming pass: a few, to cross pass boundaries, or the default."""
+        if request.param:
+            monkeypatch.setattr(dataio, "_CHUNK_ROWS", request.param)
+
+    def _dump(self, tmp_path):
+        """Lines of a similarity dump of A = {a1, a2, a3} and B = {b1, b2}."""
+        net = hetsim.build_network([("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"])], [])
+        rng = np.random.default_rng(4)
+        state = hetsim.SimilaritySet(
+            {t.name: (lambda a: a + a.T)(rng.random((t.size, t.size))) for t in net.types}
+        )
+        path = tmp_path / "similarity.csv"
+        dataio.save_similarity(state, net, path)
+        # 1 header, 6 rows of A (lines 2-7), 3 rows of B (lines 8-10)
+        return net, state, path, path.read_text().splitlines()
+
+    def _write(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_wrong_field_count_in_another_type(self, tmp_path, chunk):
+        _, _, path, lines = self._dump(tmp_path)
+        lines.insert(8, "B,b1,b2")  # line 9, a row of B with 3 fields
+        self._write(path, lines)
+        with pytest.raises(BundleError, match=exactly(f"{path}:9: expected 4 fields")):
+            dataio.read_similarity_block(path, "A")
+
+    def test_malformed_value_in_queried_type(self, tmp_path, chunk):
+        _, _, path, lines = self._dump(tmp_path)
+        lines[5] = "A,a2,a3,0.5x"  # line 6
+        self._write(path, lines)
+        with pytest.raises(BundleError, match=exactly(f"{path}:6: malformed value '0.5x'")):
+            dataio.read_similarity_block(path, "A")
+        assert dataio.read_similarity_block(path, "B")[0] == ["b1", "b2"]
+
+    def test_blank_line_mid_file(self, tmp_path, chunk):
+        net, state, path, lines = self._dump(tmp_path)
+        lines.insert(4, "")  # line 5
+        self._write(path, lines)
+        ids, block = dataio.read_similarity_block(path, "A")
+        assert ids == ["a1", "a2", "a3"] and same_bits(block, state["A"])
+        assert same_bits(dataio.load_similarity(path, net)["B"], state["B"])
+        lines[7] = "A,a3,a3,nope"  # line 8: the blank line is counted
+        self._write(path, lines)
+        with pytest.raises(BundleError, match=exactly(f"{path}:8: malformed value 'nope'")):
+            dataio.read_similarity_block(path, "A")
+        with pytest.raises(BundleError, match=exactly(f"{path}:8: malformed value 'nope'")):
+            dataio.load_similarity(path, net)
+
+    @pytest.mark.parametrize("row,message", [
+        ("C,a1,a1,0.5", "unknown type 'C'"),
+        ("A,a1,b1,0.5", "unknown entity id"),
+        ("B,b1,b2,--1", "malformed value '--1'"),
+    ])
+    def test_load_similarity_names_the_line(self, tmp_path, chunk, row, message):
+        net, _, path, lines = self._dump(tmp_path)
+        lines.insert(9, row)  # line 10
+        lines.append("A,a1")  # a later fault does not win
+        self._write(path, lines)
+        with pytest.raises(BundleError, match=exactly(f"{path}:10: {message}")):
+            dataio.load_similarity(path, net)
+
+    def test_later_rows_win(self, tmp_path, chunk):
+        net, state, path, lines = self._dump(tmp_path)
+        lines += ["A,a3,a1,0.25", "A,a1,a3,0.75", "A,a2,a2,0.5"]
+        self._write(path, lines)
+        expected = state["A"].copy()
+        expected[0, 2] = expected[2, 0] = 0.75
+        expected[1, 1] = 0.5
+        assert same_bits(dataio.load_similarity(path, net)["A"], expected)
+        assert same_bits(dataio.read_similarity_block(path, "A")[1], expected)
+
+    @pytest.mark.parametrize("row", ["1,0,1.5e", "1,x,0.5", "1,0,", "3,0,0.5"])
+    def test_malformed_factor_row(self, tmp_path, chunk, row):
+        net = hetsim.build_network([("A", ["a1", "a2", "a3"])], [])
+        dataio.save_factors({"A": FactoredSimilarity(np.ones((3, 2)), np.ones(2))},
+                            net, tmp_path, seed=0, iterations=1)
+        path = tmp_path / "U_A.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(3, row)  # line 4
+        self._write(path, lines)
+        with pytest.raises(
+            BundleError, match=exactly(f"{path}:4: malformed or out-of-range factor row")
+        ):
+            dataio.load_factors(tmp_path)
