@@ -421,6 +421,10 @@ def save_factors(
 
 def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.ndarray:
     """An array from its coordinate CSV: one index column per axis, then the value."""
+    # The shape comes from the manifest: before allocating it, check that the
+    # file can hold a row per entry, each at least two bytes per field.
+    if path.is_file() and 2 * (len(shape) + 1) * math.prod(shape) > path.stat().st_size:
+        raise BundleError(f"{path}: shape {shape} needs more rows than the file holds")
     out = np.zeros(shape)
     axes = len(shape)
     try:

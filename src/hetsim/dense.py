@@ -145,17 +145,18 @@ def iterate(state, step, residuals, finite, config: SolverConfig):
 
 def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> dict:
     """Per type t, ``(B, rows)``: B = [w_1 W_1 | ... | w_m W_m] (CSR) over t's
-    weighted relation sides, taken from ``coupling_operators``' result
-    ``ops``, and per side (W_i, partner, start, stop), the row block of the
-    gather buffer that B multiplies."""
+    weighted relation sides, in the order of its incident relations, taken
+    from ``coupling_operators``' result ``ops``, and per side
+    (w_i, W_i, partner, start, stop), with start:stop the side's row block of
+    the buffer that B multiplies.  Both solvers apply their coupling as B
+    times that buffer."""
     plan = {}
     for t in network.types:
-        sides = weighted_sides(network, weights, ops, t.name)
         rows, start = [], 0
-        for _, oper, partner in sides:
-            rows.append((oper, partner, start, start + oper.shape[1]))
+        for w, oper, partner in weighted_sides(network, weights, ops, t.name):
+            rows.append((w, oper, partner, start, start + oper.shape[1]))
             start += oper.shape[1]
-        blocks = [w * oper for w, oper, _ in sides] or [sp.csr_matrix((t.size, 0))]
+        blocks = [w * oper for w, oper, *_ in rows] or [sp.csr_matrix((t.size, 0))]
         plan[t.name] = (sp.hstack(blocks, format="csr"), rows)
     return plan
 
@@ -168,65 +169,57 @@ def _coupling(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> dict:
     for t in network.types:
         stacked, rows = plan[t.name]
         g = np.empty((stacked.shape[1], t.size))
-        for oper, partner, start, stop in rows:
+        for _, oper, partner, start, stop in rows:
             g[start:stop] = (oper @ state[partner]).T
         acc[t.name] = stacked @ g
     return acc
 
 
-def sweep(
-    network: HeteroNetwork,
-    weights: WeightMatrix,
-    state: SimilaritySet,
-    ops: dict | None = None,
-) -> SimilaritySet:
+def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> SimilaritySet:
     """One Jacobi sweep: every block recomputed from the previous iterate only.
 
-    ``ops`` is ``coupling_plan``'s result, built here when omitted.  Blocks of
-    ``state`` must be symmetric, as every iterate is: the coupling uses
-    (W S_p)^T = S_p W^T."""
+    ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` must be
+    symmetric, as every iterate is: the coupling uses (W S_p)^T = S_p W^T."""
     for t in network.types:
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")
-    if ops is None:
-        ops = coupling_plan(network, weights, coupling_operators(network))
-    acc = _coupling(network, state, ops)
+    acc = _coupling(network, state, plan)
     for m in acc.values():
         np.fill_diagonal(m, 1.0)
     return SimilaritySet(acc)
 
 
-def _require_conditions(network, weights, check, ops, damping=None):
-    """The solvers' precheck on their operators ``ops``; with ``damping`` c,
-    the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type instead."""
-    if not check:
-        return
-    report = check_convergence_conditions(network, weights, ops)
-    if damping is not None:
-        for name, bound in report.lyapunov_bounds.items():
-            if damping * bound > 1.0 + 1e-12:
-                raise ConditionError(
-                    f"contraction bound violated for type {name!r}: "
-                    f"c * sum w ||W||_1^2 = {damping * bound:.6g} > 1"
-                )
-    elif not report.ok:
-        raise ConditionError(
-            "convergence conditions failed: "
-            f"{len(report.nonstochastic)} non-stochastic columns, "
-            f"overweight types {list(report.overweight)}"
-        )
+def checked_plan(network, weights, check, damping=None) -> dict:
+    """Every solver's opening: each relation's operators built once, the
+    precheck on them, and ``coupling_plan`` from them.  With ``damping`` c the
+    precheck is the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type."""
+    ops = coupling_operators(network)
+    if check:
+        report = check_convergence_conditions(network, weights, ops)
+        if damping is not None:
+            for name, bound in report.lyapunov_bounds.items():
+                if damping * bound > 1.0 + 1e-12:
+                    raise ConditionError(
+                        f"contraction bound violated for type {name!r}: "
+                        f"c * sum w ||W||_1^2 = {damping * bound:.6g} > 1"
+                    )
+        elif not report.ok:
+            raise ConditionError(
+                "convergence conditions failed: "
+                f"{len(report.nonstochastic)} non-stochastic columns, "
+                f"overweight types {list(report.overweight)}"
+            )
+    return coupling_plan(network, weights, ops)
 
 
 def _solve_coupled(network, weights, config, check, damping=None):
     """Iterate from S = I: Jacobi sweeps, or with ``damping`` c the Lyapunov
     map S = c * coupling(S) + (1 - c) I."""
-    ops = coupling_operators(network)
-    _require_conditions(network, weights, check, ops, damping)
-    plan = coupling_plan(network, weights, ops)
+    plan = checked_plan(network, weights, check, damping)
 
     def step(state):
         if damping is None:
-            return sweep(network, weights, state, plan)
+            return sweep(network, state, plan)
         acc = _coupling(network, state, plan)
         for m in acc.values():
             m *= damping

@@ -1,10 +1,10 @@
 """Scalable solver on factored similarity state S_t ~= I + U_t D_t U_t^T.
 
 Each sweep assembles, per type, a matrix-free self-adjoint update operator
-from the sparse normalized relations and the partners' factors, removes its
-exact diagonal, and projects the result back to rank a_t with a randomized
-eigendecomposition.  Queries evaluate the factored form directly and never
-densify a block.
+B M C^T less its exact diagonal, two sparse products per apply, and projects
+it back to rank a_t with a randomized eigendecomposition.  Per solve, B comes
+from the dense coupling plan, and C^T and the weight-only diagonal are built
+once.  Queries evaluate the factored form directly and never densify a block.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import DivergenceError, SolveTrace, SolverConfig, _require_conditions, iterate
-from .model import HeteroNetwork, WeightMatrix, coupling_operators, weighted_sides
+from .dense import DivergenceError, SolveTrace, SolverConfig, checked_plan, iterate
+from .model import HeteroNetwork, WeightMatrix
 
 
 @dataclass(frozen=True)
@@ -110,116 +110,87 @@ class SvdConfig:
 
 
 class UpdateOperator:
-    """Matrix-free self-adjoint per-type update map.
+    """Matrix-free self-adjoint per-type update map, less its own diagonal.
 
-    Applies x -> sum over incident relations of
-    w * (W (W^T x) + W U_p diag(d_p) U_p^T (W^T x)), where W is the
-    column-stochastic operator oriented toward this type and (U_p, d_p)
-    are the partner's factors.  Symmetric by construction.  Cost per apply
-    is O(nnz + n * a); ``spmv_count`` tracks sparse products for cost tests.
-    ``base_diagonal`` is the factor-free part of the diagonal,
-    sum w * rownorm^2(W).
+    Applies x -> B M C^T x - diag(B M C^T) x, where B = [w_1 W_1 | ... |
+    w_m W_m] is the type's entry of the dense coupling plan, C^T = [W_1 |
+    ... | W_m]^T, and M = blockdiag(I + U_p D_p U_p^T) over the partners'
+    factors: the sum over incident relations of w W (I + U_p D_p U_p^T) W^T,
+    W oriented toward this type, with its exact diagonal removed.  Symmetric
+    by construction.  An apply is two sparse products, counted in
+    ``spmv_count``, plus O(n a) dense work.  ``base_diagonal`` is the
+    weight-only part of the diagonal, sum w * rownorm^2(W).
     """
 
-    def __init__(self, size: int, terms, base_diagonal: np.ndarray):
-        self.shape = (size, size)
-        # term: (weight, W csr (n x n_p), W^T csr, U_p, d_p)
-        self.terms = terms
-        self.base_diagonal = base_diagonal
+    def __init__(self, planned, constants, state: Mapping[str, FactoredSimilarity]):
+        self.stacked, rows = planned
+        self.stacked_t, self.base_diagonal = constants
+        self.shape = (self.stacked.shape[0],) * 2
+        # side: (weight, W, U_p, d_p, start, stop), start:stop its rows of C^T x
+        self.sides = [
+            (w, oper, state[p].U, state[p].d, start, stop) for w, oper, p, start, stop in rows
+        ]
         self.spmv_count = 0
+        self.shift = self.diagonal()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or an (n, k) block."""
-        out = np.zeros_like(x)
-        for w, oper, oper_t, u_p, d_p in self.terms:
-            y = oper_t @ x
-            self.spmv_count += 1
-            if d_p.size:
-                g = u_p.T @ y
-                y = y + u_p @ (d_p[:, None] * g if y.ndim == 2 else d_p * g)
-            out += w * (oper @ y)
-            self.spmv_count += 1
-        return out
+        block = x.reshape(self.shape[0], -1)
+        y = self.stacked_t @ block
+        for _, _, u_p, d_p, start, stop in self.sides:
+            y[start:stop] += u_p @ (d_p[:, None] * (u_p.T @ y[start:stop]))
+        self.spmv_count += 2
+        return (self.stacked @ y - self.shift[:, None] * block).reshape(x.shape)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
 
     def diagonal(self) -> np.ndarray:
-        """Exact diagonal: squared row norms of W plus the factored middle term."""
+        """Exact diagonal of B M C^T: the weight-only part plus the factored
+        middle term w * rownorm^2 of W U_p under D_p, per side."""
         diag = self.base_diagonal.copy()
-        for w, oper, _, u_p, d_p in self.terms:
-            if d_p.size:
-                wu = oper @ u_p
-                diag += w * ((wu * d_p) * wu).sum(axis=1)
+        for w, oper, u_p, d_p, _, _ in self.sides:
+            wu = oper @ u_p
+            diag += w * ((wu * d_p) * wu).sum(axis=1)
         return diag
 
 
-class _DiagRemoved:
-    """op - diag(op), still matrix-free."""
-
-    def __init__(self, op: UpdateOperator, diag: np.ndarray):
-        self.op = op
-        self.diag = diag
-        self.shape = op.shape
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        shift = self.diag[:, None] * x if x.ndim == 2 else self.diag * x
-        return self.op.apply(x) - shift
-
-
-def update_constants(network: HeteroNetwork, weights: WeightMatrix, couplings=None) -> dict:
-    """Per type, the parts of its update operator that depend on the network
-    and weights alone, so that a solve builds them once: ``(terms, diagonal)``
-    with terms ``(weight, W csr, W^T csr, partner name)`` and the weight-only
-    diagonal sum w * rownorm^2(W).  ``couplings`` is ``coupling_operators``'
-    result; built here when omitted."""
-    if couplings is None:
-        couplings = coupling_operators(network)
+def update_constants(plan: dict) -> dict:
+    """Per type, what its update operator adds to ``dense.coupling_plan``'s
+    result ``plan``, built once per solve: ``(C^T, diagonal)`` with
+    C^T = [W_1 | ... | W_m]^T as CSR and the weight-only diagonal
+    sum w * rownorm^2(W), the diagonal of B C^T."""
     out = {}
-    for t in network.types:
-        terms = []
-        diag = np.zeros(t.size)
-        for w, oper, partner in weighted_sides(network, weights, couplings, t.name):
-            terms.append((w, oper, oper.T.tocsr(), partner))
-            diag += w * np.asarray(oper.multiply(oper).sum(axis=1)).ravel()
-        out[t.name] = (terms, diag)
+    for name, (stacked, rows) in plan.items():
+        c = sp.hstack([oper for _, oper, *_ in rows] or [stacked], format="csr")
+        out[name] = (c.T.tocsr(), np.asarray(stacked.multiply(c).sum(axis=1)).ravel())
     return out
 
 
 def build_update_operator(
-    network: HeteroNetwork,
-    weights: WeightMatrix,
-    state: Mapping[str, FactoredSimilarity],
-    type_name: str,
-    ops: dict | None = None,
+    state: Mapping[str, FactoredSimilarity], type_name: str, plan: dict, ops: dict
 ) -> UpdateOperator:
     """Attach the partners' current factors to one type's update operator.
 
-    ``ops`` is the result of ``update_constants``; built here when omitted.
+    ``plan`` is ``dense.coupling_plan``'s result and ``ops`` that of
+    ``update_constants``.
     """
-    if ops is None:
-        ops = update_constants(network, weights)
-    consts, diag = ops[type_name]
-    terms = [
-        (w, oper, oper_t, state[p].U, state[p].d) for w, oper, oper_t, p in consts
-    ]
-    return UpdateOperator(network.type(type_name).size, terms, diag)
+    return UpdateOperator(plan[type_name], ops[type_name], state)
 
 
 def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None):
     """Randomized eigendecomposition of a self-adjoint operator.
 
-    Gaussian sketch of size rank + oversample, ``power`` extra passes with
-    re-orthonormalization, then an exact eigendecomposition of the projected
-    matrix.  Keeps the ``rank`` eigenpairs largest in magnitude (negative
-    eigenvalues included).  Deterministic given the generator.
+    ``op`` is anything with a square ``shape`` and ``op @ block``: an ndarray
+    or an ``UpdateOperator``.  Gaussian sketch of size rank + oversample,
+    ``power`` extra passes with re-orthonormalization, then an exact
+    eigendecomposition of the projected matrix.  Keeps the ``rank``
+    eigenpairs largest in magnitude (negative eigenvalues included).
+    Deterministic given the generator.
     """
-    if isinstance(op, np.ndarray):
-        mat = op
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("dense operator must be square")
-        apply_ = mat.__matmul__
-        n = mat.shape[0]
-    else:
-        apply_ = op.apply
-        n = op.shape[0]
+    n = op.shape[0]
+    if op.shape != (n, n):
+        raise ValueError("operator must be square")
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if rank + oversample > n:
@@ -228,10 +199,10 @@ def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None
         )
     rng = np.random.default_rng(rng)
     omega = rng.standard_normal((n, rank + oversample))
-    q, _ = np.linalg.qr(apply_(omega))
+    q, _ = np.linalg.qr(op @ omega)
     for _ in range(power):
-        q, _ = np.linalg.qr(apply_(q))
-    b = q.T @ apply_(q)
+        q, _ = np.linalg.qr(op @ q)
+    b = q.T @ (op @ q)
     if not np.isfinite(b).all():
         raise DivergenceError("non-finite values in the projected operator")
     b = 0.5 * (b + b.T)
@@ -266,32 +237,27 @@ def _rng_for(seed: int, type_index: int):
 
 def sweep_lowrank(
     network: HeteroNetwork,
-    weights: WeightMatrix,
     state: Mapping[str, FactoredSimilarity],
     cfg: SvdConfig,
-    ops: dict | None = None,
+    plan: dict,
+    ops: dict,
 ) -> dict[str, FactoredSimilarity]:
     """One Jacobi sweep in factored form.
 
-    Per type: assemble the update operator against the previous factors,
-    subtract its exact diagonal, and project to rank a_t.  The identity is
-    re-added implicitly by the factored representation.  ``ops`` is the
-    result of ``update_constants``; built here when omitted.
+    Per type: assemble the update operator, less its exact diagonal, against
+    the previous factors and project it to rank a_t.  The identity is
+    re-added implicitly by the factored representation.  ``plan`` is
+    ``dense.coupling_plan``'s result and ``ops`` that of ``update_constants``.
     """
-    if ops is None:
-        ops = update_constants(network, weights)
     new: dict[str, FactoredSimilarity] = {}
     for ti, t in enumerate(network.types):
-        op = build_update_operator(network, weights, state, t.name, ops)
-        if not op.terms:
+        if not plan[t.name][1]:
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
-        shifted = _DiagRemoved(op, op.diagonal())
+        op = build_update_operator(state, t.name, plan, ops)
         rank = cfg.rank_for(t.name, t.size)
         oversample = min(cfg.oversample, t.size - rank)
-        u, d = randomized_eig(
-            shifted, rank, oversample, cfg.power, _rng_for(cfg.seed, ti)
-        )
+        u, d = randomized_eig(op, rank, oversample, cfg.power, _rng_for(cfg.seed, ti))
         new[t.name] = FactoredSimilarity(u, d)
     return new
 
@@ -306,12 +272,11 @@ def solve_lowrank(
     """Iterate factored sweeps from S = I; residuals stay in factored form."""
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
-    couplings = coupling_operators(network)
-    _require_conditions(network, weights, check, couplings)
-    ops = update_constants(network, weights, couplings)
+    plan = checked_plan(network, weights, check)
+    ops = update_constants(plan)
     return iterate(
         {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
-        lambda state: sweep_lowrank(network, weights, state, svd, ops=ops),
+        lambda state: sweep_lowrank(network, state, svd, plan, ops),
         lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
         lambda state: all(
             np.isfinite(f.U).all() and np.isfinite(f.d).all() for f in state.values()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hetsim
+from hetsim.dense import coupling_plan
+from hetsim.model import coupling_operators
 
 
 @pytest.fixture
@@ -28,3 +30,8 @@ def single_type_graph(adjacency, name="T"):
     ii, jj = np.nonzero(a)
     edges = [(f"v{i}", f"v{j}") for i, j in zip(ii, jj)]
     return hetsim.build_network([(name, ids)], [("e", name, name, edges)])
+
+
+def plan_for(network, weights):
+    """The per-solve coupling plan that ``sweep`` and ``sweep_lowrank`` take."""
+    return coupling_plan(network, weights, coupling_operators(network))

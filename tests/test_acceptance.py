@@ -23,7 +23,7 @@ from hetsim.synth import (
     ordering_quality,
 )
 
-from conftest import single_type_graph
+from conftest import plan_for, single_type_graph
 
 
 def report(name, ok):
@@ -93,10 +93,11 @@ def test_02_homogeneous_reduction_matches_oracle():
         w = a / np.maximum(a.sum(axis=0), 1)
         oracle = np.eye(n)
         state = hetsim.SimilaritySet.identity(net)
+        plan = plan_for(net, weights)
         for _ in range(8):
             oracle = w @ oracle @ w.T
             np.fill_diagonal(oracle, 1.0)
-            state = hetsim.sweep(net, weights, state)
+            state = hetsim.sweep(net, state, plan)
             worst = max(worst, float(np.abs(state["T"] - oracle).max()))
     ok = report(f"homogeneous reduction, worst diff {worst:.3g}", worst <= 1e-12)
     assert ok

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,16 @@ def run_process(argv):
 
 
 class TestSolve:
+    def test_readme_lowrank_quickstart_converges(self, tmp_path, capsys, monkeypatch):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        synth = next(x for x in lines if x.startswith("hetsim synth random"))
+        solve = next(x for x in lines if x.startswith("hetsim solve") and "lowrank" in x)
+        monkeypatch.chdir(tmp_path)
+        for line in (synth, solve):
+            code, _, _ = run(shlex.split(line)[1:], capsys)
+            assert code == EXIT_OK, line
+
     def test_dense_toy_writes_similarity_and_trace(self, tmp_path, capsys):
         write_toy_bundle(tmp_path / "toy")
         out = tmp_path / "out"
@@ -500,6 +511,19 @@ class TestMissingKeys:
              "--out", str(tmp_path / "a.svg")]
         )
         assert f"{key} {value!r}, which is not {kind}" in stderr
+
+    @pytest.mark.parametrize("n,rank", [(10**15, 10**6), (2 * 10**6, 1000)])
+    def test_factor_shape_beyond_the_file_is_io_error(self, tmp_path, n, rank):
+        # Checked before allocating: these shapes ask for 8e21 and 1.6e10 bytes.
+        factors, path = self._manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["types"][0].update(n=n, rank=rank)
+        path.write_text(json.dumps(manifest))
+        stderr = self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "A",
+             "--out", str(tmp_path / "a.svg")]
+        )
+        assert f"U_A.csv: shape ({n}, {rank}) needs more rows than the file holds" in stderr
 
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
     def test_unreadable_factor_manifest_is_io_error(self, tmp_path, text):

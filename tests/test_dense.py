@@ -9,13 +9,13 @@ import hetsim
 from hetsim import model
 from hetsim.dense import ConditionError, classical_simrank, residual, sweep
 
-from conftest import single_type_graph
+from conftest import plan_for, single_type_graph
 
 
 class TestSweep:
     def test_toy_off_diagonal(self, toy_network, toy_weights):
         state = hetsim.SimilaritySet.identity(toy_network)
-        new = sweep(toy_network, toy_weights, state)
+        new = sweep(toy_network, state, plan_for(toy_network, toy_weights))
         # W S_B W^T with W = [0.5; 0.5] puts 0.25 everywhere before the
         # diagonal reset.
         np.testing.assert_allclose(new["A"], [[1.0, 0.25], [0.25, 1.0]])
@@ -24,7 +24,7 @@ class TestSweep:
     def test_no_relations_is_identity_map(self):
         net = hetsim.build_network([("A", ["a1", "a2", "a3"])], [])
         state = hetsim.SimilaritySet.identity(net)
-        new = sweep(net, hetsim.default_weights(net), state)
+        new = sweep(net, state, plan_for(net, hetsim.default_weights(net)))
         assert np.array_equal(new["A"], np.eye(3))
 
     def test_diagonal_always_one(self):
@@ -37,7 +37,7 @@ class TestSweep:
             m = 0.5 * (m + m.T)
             np.fill_diagonal(m, 1.0)
             blocks[t.name] = m
-        new = sweep(net, weights, hetsim.SimilaritySet(blocks))
+        new = sweep(net, hetsim.SimilaritySet(blocks), plan_for(net, weights))
         for t in net.types:
             np.testing.assert_array_equal(np.diag(new[t.name]), 1.0)
 
@@ -45,8 +45,9 @@ class TestSweep:
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=15, seed=7))
         weights = hetsim.default_weights(net)
         state = hetsim.SimilaritySet.identity(net)
+        plan = plan_for(net, weights)
         for _ in range(5):
-            state = sweep(net, weights, state)
+            state = sweep(net, state, plan)
         for t in net.types:
             np.testing.assert_allclose(
                 state[t.name], state[t.name].T, atol=1e-10
@@ -55,7 +56,7 @@ class TestSweep:
     def test_shape_mismatch_rejected(self, toy_network, toy_weights):
         bad = hetsim.SimilaritySet({"A": np.eye(3), "B": np.eye(1)})
         with pytest.raises(ValueError):
-            sweep(toy_network, toy_weights, bad)
+            sweep(toy_network, bad, plan_for(toy_network, toy_weights))
 
 
 def hand_built_network():
@@ -123,7 +124,7 @@ def explicit_sweep(net, weights, state):
 @given(networks_weights_states())
 def test_sweep_is_the_explicit_weighted_sum(case):
     net, weights, state = case
-    new = sweep(net, weights, state)
+    new = sweep(net, state, plan_for(net, weights))
     for name, expected in explicit_sweep(net, weights, state).items():
         np.testing.assert_allclose(new[name], expected, rtol=0, atol=1e-13)
 
@@ -136,10 +137,50 @@ def test_solve_is_chained_sweeps_from_identity():
     )
     assert trace.iterations == 5
     state = hetsim.SimilaritySet.identity(net)
+    plan = plan_for(net, weights)
     for _ in range(5):
-        state = sweep(net, weights, state, ops=None)
+        state = sweep(net, state, plan)
     for t in net.types:
         assert np.array_equal(solved[t.name], state[t.name])
+
+
+@st.composite
+def networks_and_reorderings(draw):
+    """random_network(k in [2, 4], n in [3, 15]) or the hand-built network,
+    and the same network with its types and relations listed in a drawn
+    order."""
+    k = draw(st.integers(1, 4))
+    if k == 1:
+        net = hand_built_network()
+    else:
+        spec = hetsim.RandomNetworkSpec(
+            k=k, n=draw(st.integers(3, 15)), seed=draw(st.integers(0, 2**32 - 1))
+        )
+        try:
+            net = hetsim.random_network(spec)
+        except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+            assume(False)
+    types = draw(st.permutations(net.types))
+    relations = draw(st.permutations(net.relations))
+    reordered = hetsim.build_network(
+        [(t.name, t.ids) for t in types],
+        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in relations],
+    )
+    return net, reordered
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks_and_reorderings())
+def test_solution_does_not_depend_on_listing_order(case):
+    # The plan stacks a type's sides in the order of its incident relations,
+    # so reordering moves only the summation order of each coupling.
+    config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
+    (first, trace), (second, again) = (
+        hetsim.solve_dense(net, hetsim.default_weights(net), config) for net in case
+    )
+    assert trace.iterations == again.iterations
+    for name, block in first.blocks.items():
+        np.testing.assert_allclose(second[name], block, rtol=0, atol=1e-12)
 
 
 def _solve_lowrank(net, weights, config=None, check=True):
@@ -181,7 +222,7 @@ class TestSolveDense:
         state, _ = hetsim.solve_dense(
             toy_network, toy_weights, hetsim.SolverConfig(tol=1e-14)
         )
-        again = sweep(toy_network, toy_weights, state)
+        again = sweep(toy_network, state, plan_for(toy_network, toy_weights))
         assert residual(state, again) <= 1e-13
 
     def test_permutation_relation_fixes_identity(self):
@@ -237,10 +278,11 @@ class TestSolveDense:
             w = a / np.maximum(a.sum(axis=0), 1)
             oracle = np.eye(n)
             state = hetsim.SimilaritySet.identity(net)
+            plan = plan_for(net, weights)
             for _ in range(8):
                 oracle = w @ oracle @ w.T
                 np.fill_diagonal(oracle, 1.0)
-                state = sweep(net, weights, state)
+                state = sweep(net, state, plan)
                 assert np.abs(state["T"] - oracle).max() <= 1e-12
 
     def test_condition_failure_raises_unless_overridden(self, toy_network):

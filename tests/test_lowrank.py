@@ -19,6 +19,8 @@ from hetsim.lowrank import (
 )
 from hetsim.model import coupling_operators
 
+from conftest import plan_for
+
 
 def planted_symmetric(n, eigenvalues, seed):
     """Dense symmetric matrix with a prescribed spectrum."""
@@ -76,6 +78,19 @@ class TestRandomizedEig:
         assert np.array_equal(d1, d2)
 
 
+def explicit_update(net, weights, state, type_name):
+    """sum_r w W (I + U_p D_p U_p^T) W^T with dense W, diagonal included."""
+    couplings = coupling_operators(net)
+    size = net.type(type_name).size
+    expected = np.zeros((size, size))
+    for r in net.incident(type_name):
+        fwd, rev = couplings[r.name]
+        oper, partner = (fwd, r.dst) if r.src.name == type_name else (rev, r.src)
+        w = oper.toarray()
+        expected += weights.weight(type_name, r.name) * (w @ state[partner.name].dense() @ w.T)
+    return expected
+
+
 class TestUpdateOperator:
     def _random_setup(self, seed):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=seed))
@@ -86,13 +101,14 @@ class TestUpdateOperator:
             k = min(4, t.size)
             u, _ = np.linalg.qr(rng.standard_normal((t.size, k)))
             state[t.name] = FactoredSimilarity(u, rng.standard_normal(k))
-        return net, weights, state
+        plan = plan_for(net, weights)
+        return net, weights, state, plan, update_constants(plan)
 
     def test_self_adjoint_on_random_vectors(self):
-        net, weights, state = self._random_setup(0)
+        net, _, state, plan, ops = self._random_setup(0)
         rng = np.random.default_rng(42)
         for t in net.types:
-            op = build_update_operator(net, weights, state, t.name)
+            op = build_update_operator(state, t.name, plan, ops)
             n = op.shape[0]
             for _ in range(20):
                 x, y = rng.standard_normal(n), rng.standard_normal(n)
@@ -102,22 +118,23 @@ class TestUpdateOperator:
                 assert abs(lhs - rhs) <= bound
 
     def test_diagonal_matches_dense_materialization(self):
-        net, weights, state = self._random_setup(1)
+        net, weights, state, plan, ops = self._random_setup(1)
         for t in net.types:
-            op = build_update_operator(net, weights, state, t.name)
-            dense = op.apply(np.eye(t.size))
-            np.testing.assert_allclose(op.diagonal(), np.diag(dense), atol=1e-12)
+            op = build_update_operator(state, t.name, plan, ops)
+            expected = explicit_update(net, weights, state, t.name)
+            off = expected - np.diag(np.diag(expected))
+            np.testing.assert_allclose(op.apply(np.eye(t.size)), off, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
 
-    def test_sparse_product_count_is_two_per_term(self):
-        net, weights, state = self._random_setup(2)
+    def test_sparse_product_count_is_two_per_apply(self):
+        net, _, state, plan, ops = self._random_setup(2)
         t = net.types[0]
-        op = build_update_operator(net, weights, state, t.name)
-        n_terms = len(op.terms)
-        assert n_terms > 0
+        op = build_update_operator(state, t.name, plan, ops)
+        assert len(op.sides) > 1
         op.apply(np.zeros(t.size))
-        assert op.spmv_count == 2 * n_terms
+        assert op.spmv_count == 2
         op.apply(np.zeros((t.size, 3)))
-        assert op.spmv_count == 4 * n_terms
+        assert op.spmv_count == 4
 
 
 @st.composite
@@ -138,26 +155,40 @@ def networks_with_factors(draw):
     return net, state
 
 
+@st.composite
+def networks_with_weights(draw):
+    """random_network(k in [2, 4], n in [3, 15]) with a random weight in
+    (0, 1) per (type, incident relation)."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(3, 15))
+    spec = hetsim.RandomNetworkSpec(k=k, n=n, seed=draw(st.integers(0, 2**32 - 1)))
+    try:
+        net = hetsim.random_network(spec)
+    except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = {
+        (t.name, r.name): rng.uniform(0.05, 1.0)
+        for t in net.types for r in net.incident(t.name)
+    }
+    return net, hetsim.WeightMatrix(entries)
+
+
 @settings(max_examples=60, deadline=None)
 @given(networks_with_factors())
 def test_solver_operator_is_the_explicit_weighted_sum(case):
-    """The operator built from the per-solve constants applies, and has the
-    diagonal of, sum_r w_r W_r (I + U_p D_p U_p^T) W_r^T, and is self-adjoint."""
+    """The operator built from the per-solve constants has the diagonal of
+    sum_r w_r W_r (I + U_p D_p U_p^T) W_r^T, applies that sum less its
+    diagonal, and is self-adjoint."""
     net, state = case
     weights = hetsim.default_weights(net)
-    ops = update_constants(net, weights)
-    couplings = coupling_operators(net)
+    plan = plan_for(net, weights)
+    ops = update_constants(plan)
     for t in net.types:
-        expected = np.zeros((t.size, t.size))
-        for r in net.incident(t.name):
-            fwd, rev = couplings[r.name]
-            oper, partner = (fwd, r.dst) if r.src.name == t.name else (rev, r.src)
-            w = oper.toarray()
-            s_p = state[partner.name].dense()
-            expected += weights.weight(t.name, r.name) * (w @ s_p @ w.T)
-        op = build_update_operator(net, weights, state, t.name, ops)
+        expected = explicit_update(net, weights, state, t.name)
+        op = build_update_operator(state, t.name, plan, ops)
         full = op.apply(np.eye(t.size))
-        np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
+        off = expected - np.diag(np.diag(expected))
+        np.testing.assert_allclose(full, off, rtol=0, atol=1e-12)
         np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
         np.testing.assert_allclose(full, full.T, rtol=0, atol=1e-12)
 
@@ -172,8 +203,10 @@ class TestSweepLowrank:
         )
         assert trace.iterations == 4
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        plan = plan_for(net, weights)
+        ops = update_constants(plan)
         for _ in range(4):
-            state = sweep_lowrank(net, weights, state, svd, ops=None)
+            state = sweep_lowrank(net, state, svd, plan, ops)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
@@ -181,28 +214,29 @@ class TestSweepLowrank:
     def test_no_relations_keeps_identity(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state = {"A": FactoredSimilarity.identity(2)}
-        new = sweep_lowrank(
-            net, hetsim.default_weights(net), state, hetsim.SvdConfig(rank=1)
-        )
+        plan = plan_for(net, hetsim.default_weights(net))
+        new = sweep_lowrank(net, state, hetsim.SvdConfig(rank=1), plan, update_constants(plan))
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
 
-    def test_full_rank_matches_dense_sweep(self):
-        for seed in range(5):
-            net = hetsim.random_network(
-                hetsim.RandomNetworkSpec(k=3, n=15, seed=seed)
-            )
-            weights = hetsim.default_weights(net)
-            ranks = {t.name: t.size for t in net.types}
-            cfg = hetsim.SvdConfig(rank=ranks, oversample=0, power=2, seed=0)
-            fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
-            dstate = hetsim.SimilaritySet.identity(net)
-            for _ in range(3):
-                fstate = sweep_lowrank(net, weights, fstate, cfg)
-                dstate = hetsim.dense.sweep(net, weights, dstate)
-                for t in net.types:
-                    diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
-                    assert diff <= 1e-6
+    @settings(max_examples=30, deadline=None)
+    @given(networks_with_weights())
+    def test_full_rank_matches_dense_sweep(self, case):
+        # Non-uniform weights catch a weight applied on the wrong side of
+        # B M C^T, which uniform ones would hide.
+        net, weights = case
+        ranks = {t.name: t.size for t in net.types}
+        cfg = hetsim.SvdConfig(rank=ranks, oversample=0, power=2, seed=0)
+        plan = plan_for(net, weights)
+        ops = update_constants(plan)
+        fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        dstate = hetsim.SimilaritySet.identity(net)
+        for _ in range(3):
+            fstate = sweep_lowrank(net, fstate, cfg, plan, ops)
+            dstate = hetsim.dense.sweep(net, dstate, plan)
+            for t in net.types:
+                diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
+                assert diff <= 1e-10
 
     def test_diagonal_drift_reported_not_corrected(self):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=3))
