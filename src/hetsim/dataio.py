@@ -420,12 +420,12 @@ def save_factors(
 
 
 def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.ndarray:
-    """An array from its coordinate CSV: one index column per axis, then the value."""
+    """An array from its coordinate CSV, a row per entry: its indices, then its value."""
     # The shape comes from the manifest: before allocating it, check that the
     # file can hold a row per entry, each at least two bytes per field.
     if path.is_file() and 2 * (len(shape) + 1) * math.prod(shape) > path.stat().st_size:
         raise BundleError(f"{path}: shape {shape} needs more rows than the file holds")
-    out = np.zeros(shape)
+    out, seen = np.zeros(shape), np.zeros(math.prod(shape), dtype=bool)
     axes = len(shape)
     try:
         for rows in _row_chunks(path, header):
@@ -437,6 +437,7 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
             except (ValueError, OverflowError):
                 raise _Malformed from None
             _put(out, flat, _floats(values))
+            seen[flat] = True
     except _Malformed:
 
         def check(lineno, row):
@@ -449,6 +450,8 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
                 raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")
 
         _replay(path, header, check)
+    if not seen.all():
+        raise BundleError(f"{path}: no row for {seen.size - seen.sum()} of {seen.size} entries")
     return out
 
 

@@ -3,8 +3,9 @@
 Each sweep assembles, per type, a matrix-free self-adjoint update operator
 B M C^T less its exact diagonal, two sparse products per apply, and projects
 it back to rank a_t with a randomized eigendecomposition.  Per solve, B comes
-from the dense coupling plan, and C^T and the weight-only diagonal are built
-once.  Queries evaluate the factored form directly and never densify a block.
+from the dense coupling plan, and C^T, the weight-only diagonal and each
+type's Gaussian sketch are built once.  Queries evaluate the factored form
+directly and never densify a block.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ class FactoredSimilarity:
 
     def diagonal_drift(self) -> float:
         """Max deviation of the represented diagonal from 1 (diagnostic only)."""
-        if self.rank == 0:
-            return 0.0
-        return float(np.abs((self.U * self.d) * self.U).sum(axis=1).max())
+        return float(np.abs((self.U * self.d) * self.U).sum(axis=1).max(initial=0.0))
 
 
 def similarity_query(state: FactoredSimilarity, a: int, b: int) -> float:
@@ -98,9 +97,7 @@ class SvdConfig:
     def __post_init__(self):
         if self.oversample < 0 or self.power < 0:
             raise ValueError("oversample and power must be nonnegative")
-        ranks = (
-            self.rank.values() if isinstance(self.rank, Mapping) else [self.rank]
-        )
+        ranks = self.rank.values() if isinstance(self.rank, Mapping) else [self.rank]
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be at least 1")
 
@@ -178,15 +175,17 @@ def build_update_operator(
     return UpdateOperator(plan[type_name], ops[type_name], state)
 
 
-def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None):
+def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None, sketch=None):
     """Randomized eigendecomposition of a self-adjoint operator.
 
     ``op`` is anything with a square ``shape`` and ``op @ block``: an ndarray
-    or an ``UpdateOperator``.  Gaussian sketch of size rank + oversample,
-    ``power`` extra passes with re-orthonormalization, then an exact
-    eigendecomposition of the projected matrix.  Keeps the ``rank``
-    eigenpairs largest in magnitude (negative eigenvalues included).
-    Deterministic given the generator.
+    or an ``UpdateOperator``.  Gaussian ``sketch`` of size rank + oversample
+    (drawn from ``rng`` when omitted), ``power`` extra passes with
+    re-orthonormalization, then an exact eigendecomposition of the projected
+    matrix.  At rank + oversample = n that matrix is ``op`` itself, taken
+    with one apply, and nothing is drawn.  Keeps the ``rank`` eigenpairs
+    largest in magnitude (negative eigenvalues included).  Deterministic
+    given the sketch, or the generator it is drawn from.
     """
     n = op.shape[0]
     if op.shape != (n, n):
@@ -197,18 +196,21 @@ def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None
         raise ValueError(
             f"rank + oversampling ({rank + oversample}) exceeds dimension ({n})"
         )
-    rng = np.random.default_rng(rng)
-    omega = rng.standard_normal((n, rank + oversample))
-    q, _ = np.linalg.qr(op @ omega)
-    for _ in range(power):
-        q, _ = np.linalg.qr(op @ q)
-    b = q.T @ (op @ q)
+    if rank + oversample == n:  # the range is the whole space: Q = I
+        q, b = None, op @ np.eye(n)
+    else:
+        if sketch is None:
+            sketch = np.random.default_rng(rng).standard_normal((n, rank + oversample))
+        q, _ = np.linalg.qr(op @ sketch)
+        for _ in range(power):
+            q, _ = np.linalg.qr(op @ q)
+        b = q.T @ (op @ q)
     if not np.isfinite(b).all():
         raise DivergenceError("non-finite values in the projected operator")
     b = 0.5 * (b + b.T)
     lam, v = np.linalg.eigh(b)
     order = np.argsort(-np.abs(lam), kind="stable")[:rank]
-    return q @ v[:, order], lam[order]
+    return (v[:, order] if q is None else q @ v[:, order]), lam[order]
 
 
 def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
@@ -226,13 +228,24 @@ def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float
 
 
 def _rng_for(seed: int, type_index: int):
-    # Independent, seed-derived stream per type.  The stream is the same on
-    # every sweep, so each solve iterates one fixed deterministic truncated
-    # map; re-sketching per sweep would keep re-sampling the discarded tail
-    # and the residual would jitter at the truncation level forever.
+    # Independent, seed-derived stream per type.  A solve draws each type's
+    # sketch from it once and reuses that sketch on every sweep, so the solve
+    # iterates one fixed deterministic truncated map; re-sketching per sweep
+    # would keep re-sampling the discarded tail and the residual would jitter
+    # at the truncation level forever.  A full-width type draws nothing.
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(type_index,))
     )
+
+
+def _sketches(network: HeteroNetwork, cfg: SvdConfig, plan: dict) -> dict[str, np.ndarray]:
+    """Each related type's Gaussian sketch, if narrower than its block."""
+    out = {}
+    for ti, t in enumerate(network.types):
+        width = min(cfg.rank_for(t.name, t.size) + cfg.oversample, t.size)
+        if plan[t.name][1] and width < t.size:
+            out[t.name] = _rng_for(cfg.seed, ti).standard_normal((t.size, width))
+    return out
 
 
 def sweep_lowrank(
@@ -241,23 +254,26 @@ def sweep_lowrank(
     cfg: SvdConfig,
     plan: dict,
     ops: dict,
+    sketches: dict | None = None,
 ) -> dict[str, FactoredSimilarity]:
     """One Jacobi sweep in factored form.
 
     Per type: assemble the update operator, less its exact diagonal, against
     the previous factors and project it to rank a_t.  The identity is
     re-added implicitly by the factored representation.  ``plan`` is
-    ``dense.coupling_plan``'s result and ``ops`` that of ``update_constants``.
+    ``dense.coupling_plan``'s result, ``ops`` that of ``update_constants``
+    and ``sketches`` that of ``_sketches``, drawn here when omitted.
     """
+    sketches = _sketches(network, cfg, plan) if sketches is None else sketches
     new: dict[str, FactoredSimilarity] = {}
-    for ti, t in enumerate(network.types):
+    for t in network.types:
         if not plan[t.name][1]:
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
         op = build_update_operator(state, t.name, plan, ops)
         rank = cfg.rank_for(t.name, t.size)
         oversample = min(cfg.oversample, t.size - rank)
-        u, d = randomized_eig(op, rank, oversample, cfg.power, _rng_for(cfg.seed, ti))
+        u, d = randomized_eig(op, rank, oversample, cfg.power, sketch=sketches.get(t.name))
         new[t.name] = FactoredSimilarity(u, d)
     return new
 
@@ -273,10 +289,10 @@ def solve_lowrank(
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
     plan = checked_plan(network, weights, check)
-    ops = update_constants(plan)
+    ops, sketches = update_constants(plan), _sketches(network, svd, plan)
     return iterate(
         {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
-        lambda state: sweep_lowrank(network, state, svd, plan, ops),
+        lambda state: sweep_lowrank(network, state, svd, plan, ops, sketches),
         lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
         lambda state: all(
             np.isfinite(f.U).all() and np.isfinite(f.d).all() for f in state.values()

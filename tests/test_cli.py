@@ -525,6 +525,25 @@ class TestMissingKeys:
         )
         assert f"U_A.csv: shape ({n}, {rank}) needs more rows than the file holds" in stderr
 
+    def test_factor_file_with_a_missing_row_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # The README quickstart's low-rank factors, one data row of U_c0.csv gone.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        synth = next(x for x in lines if x.startswith("hetsim synth random"))
+        solve = next(x for x in lines if x.startswith("hetsim solve") and "lowrank" in x)
+        monkeypatch.chdir(tmp_path)
+        for line in (synth, solve):
+            assert run(shlex.split(line)[1:], capsys)[0] == EXIT_OK, line
+        factors = tmp_path / "run-lr" / "factors"
+        u_file = factors / "U_c0.csv"
+        rows = u_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        u_file.write_text("".join(rows[:5] + rows[6:]), encoding="utf-8")
+        stderr = self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "c0",
+             "--out", str(tmp_path / "c0.svg")]
+        )
+        assert "U_c0.csv: no row for 1 of " in stderr
+
     @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["invalid", "list"])
     def test_unreadable_factor_manifest_is_io_error(self, tmp_path, text):
         factors, path = self._manifest(tmp_path)

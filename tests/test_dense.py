@@ -183,6 +183,48 @@ def test_solution_does_not_depend_on_listing_order(case):
         np.testing.assert_allclose(second[name], block, rtol=0, atol=1e-12)
 
 
+@st.composite
+def networks_and_row_permutations(draw):
+    """random_network(k in [2, 4], n in [3, 15]) or the hand-built network,
+    the index of one type, a permutation of that type's entity rows, and
+    the network with that type's entities listed in the permuted order."""
+    k = draw(st.integers(1, 4))
+    if k == 1:
+        net = hand_built_network()
+    else:
+        spec = hetsim.RandomNetworkSpec(
+            k=k, n=draw(st.integers(3, 15)), seed=draw(st.integers(0, 2**32 - 1))
+        )
+        try:
+            net = hetsim.random_network(spec)
+        except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+            assume(False)
+    which = draw(st.integers(0, len(net.types) - 1))
+    perm = np.array(draw(st.permutations(range(net.types[which].size))), dtype=int)
+    permuted = hetsim.build_network(
+        [(t.name, [t.ids[i] for i in perm] if i == which else t.ids)
+         for i, t in enumerate(net.types)],
+        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations],
+    )
+    return net, which, perm, permuted
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks_and_row_permutations())
+def test_permuting_entity_rows_permutes_their_block(case):
+    # Row i of the permuted type is entity perm[i], so its block is
+    # P S P^T = S[perm][:, perm]; every other block stays as it was.
+    net, which, perm, permuted = case
+    config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
+    (first, trace), (second, again) = (
+        hetsim.solve_dense(nw, hetsim.default_weights(nw), config) for nw in (net, permuted)
+    )
+    assert trace.iterations == again.iterations
+    for i, t in enumerate(net.types):
+        want = first[t.name][np.ix_(perm, perm)] if i == which else first[t.name]
+        np.testing.assert_allclose(second[t.name], want, rtol=0, atol=1e-12)
+
+
 def _solve_lowrank(net, weights, config=None, check=True):
     return hetsim.solve_lowrank(net, weights, config, hetsim.SvdConfig(rank=3), check=check)
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hetsim
+from hetsim import lowrank
 from hetsim.lowrank import (
     FactoredSimilarity,
     UpdateOperator,
@@ -173,6 +174,67 @@ def networks_with_weights(draw):
     return net, hetsim.WeightMatrix(entries)
 
 
+def top_pairs(matrix, rank):
+    """U diag(d) U^T of the ``rank`` eigenpairs of ``matrix`` largest in
+    magnitude, and the gap in magnitude below the last one kept."""
+    lam, v = np.linalg.eigh(matrix)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    mags = np.abs(lam[order])
+    gap = mags[rank - 1] - mags[rank] if rank < lam.size else np.inf
+    keep = order[:rank]
+    return (v[:, keep] * lam[keep]) @ v[:, keep].T, gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks_with_factors(), st.integers(0, 2**32 - 1), st.data())
+def test_full_width_eig_is_the_exact_top_pairs(case, seed, data):
+    """At rank + oversample = n, randomized_eig decomposes exactly, whatever
+    the rank: one apply, and nothing drawn."""
+    net, state = case
+    weights = hetsim.default_weights(net)
+    plan = plan_for(net, weights)
+    ops = update_constants(plan)
+    rng = np.random.default_rng(seed)
+    for t in net.types:
+        if not plan[t.name][1]:
+            continue
+        array = rng.standard_normal((t.size, t.size))
+        array += array.T
+        op = build_update_operator(state, t.name, plan, ops)
+        explicit = explicit_update(net, weights, state, t.name)
+        for target, matrix in ((array, array), (op, explicit - np.diag(np.diag(explicit)))):
+            rank = data.draw(st.integers(1, t.size))
+            want, gap = top_pairs(matrix, rank)
+            before = rng.bit_generator.state
+            u, d = randomized_eig(target, rank, t.size - rank, power=2, rng=rng)
+            assert rng.bit_generator.state == before
+            # At a near-tie in |lambda| the kept eigenvectors are not determined.
+            if gap > 1e-2 * max(1.0, np.abs(matrix).max()):
+                np.testing.assert_allclose((u * d) @ u.T, want, rtol=0, atol=1e-12)
+        assert op.spmv_count == 2
+
+
+def test_narrow_eig_runs_the_range_finder_on_its_sketch():
+    """Below full width, down to n - 1, every apply of the range finder
+    happens, on the sketch drawn from the generator or on one passed in."""
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=30, seed=5))
+    plan = plan_for(net, hetsim.default_weights(net))
+    ops = update_constants(plan)
+    state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+    power = 2
+    for t in net.types:
+        for width in (3, t.size - 1):
+            rank = 1 + width // 2
+            op = build_update_operator(state, t.name, plan, ops)
+            rng = np.random.default_rng(11)
+            u1, d1 = randomized_eig(op, rank, width - rank, power, rng=rng)
+            assert op.spmv_count == 2 * (power + 2)
+            assert rng.bit_generator.state != np.random.default_rng(11).bit_generator.state
+            sketch = np.random.default_rng(11).standard_normal((t.size, width))
+            u2, d2 = randomized_eig(op, rank, width - rank, power, sketch=sketch)
+            assert np.array_equal(u1, u2) and np.array_equal(d1, d2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(networks_with_factors())
 def test_solver_operator_is_the_explicit_weighted_sum(case):
@@ -207,6 +269,55 @@ class TestSweepLowrank:
         ops = update_constants(plan)
         for _ in range(4):
             state = sweep_lowrank(net, state, svd, plan, ops)
+        for name, f in solved.items():
+            assert np.array_equal(f.U, state[name].U)
+            assert np.array_equal(f.d, state[name].d)
+
+    def test_each_sketch_drawn_once_per_solve(self, monkeypatch):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=30, seed=2))
+        full = net.types[0]  # rank = size: decomposed exactly, nothing drawn
+        svd = hetsim.SvdConfig(rank={**{t.name: 4 for t in net.types}, full.name: full.size})
+        draws = []
+        original = lowrank._rng_for
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                draws.append(self.type_index)
+                return super().standard_normal(*args, **kwargs)
+
+        def counting(seed, type_index):
+            gen = Counting(original(seed, type_index).bit_generator)
+            gen.type_index = type_index
+            return gen
+
+        monkeypatch.setattr(lowrank, "_rng_for", counting)
+        _, trace = hetsim.solve_lowrank(
+            net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-300, max_iter=6), svd
+        )
+        assert trace.iterations == 6
+        assert sorted(draws) == list(range(1, len(net.types)))
+
+    def test_solve_matches_a_fresh_stream_every_sweep(self):
+        # Drawing once per solve is an optimization only: each sweep still
+        # projects on the sketch a fresh _rng_for(seed, i) stream would draw.
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=40, seed=6))
+        weights = hetsim.default_weights(net)
+        svd = hetsim.SvdConfig(rank=4, oversample=5, power=1, seed=3)
+        assert all(svd.rank_for(t.name, t.size) + svd.oversample < t.size for t in net.types)
+        solved, _ = hetsim.solve_lowrank(
+            net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=5), svd
+        )
+        plan = plan_for(net, weights)
+        ops = update_constants(plan)
+        state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        for _ in range(5):
+            new = {}
+            for i, t in enumerate(net.types):
+                assert plan[t.name][1]
+                op = build_update_operator(state, t.name, plan, ops)
+                u, d = randomized_eig(op, 4, 5, 1, lowrank._rng_for(3, i))
+                new[t.name] = FactoredSimilarity(u, d)
+            state = new
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
