@@ -98,6 +98,17 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_CONFIG
 
 
+def _stalling(per_type: list[dict[str, float]]) -> str:
+    """The type with the largest last residual, that residual, and its ratio
+    to the type's residual one sweep earlier."""
+    last = per_type[-1]
+    name = max(last, key=last.get)
+    text = f"stalling type {name!r}: residual={last[name]:.6g}"
+    if len(per_type) > 1 and per_type[-2][name]:
+        text += f", last-sweep ratio={last[name] / per_type[-2][name]:.6g}"
+    return text
+
+
 def cmd_solve(args) -> int:
     network, weights = dataio.load_network(args.bundle)
     if weights is None:
@@ -120,7 +131,8 @@ def cmd_solve(args) -> int:
     for i, r in enumerate(trace.residuals, start=1):
         print(f"iteration {i}: residual={r:.6g}")
     if not trace.converged:
-        print(f"did not converge within {config.max_iter} iterations", file=sys.stderr)
+        print(f"did not converge within {config.max_iter} iterations; "
+              f"{_stalling(trace.per_type)}", file=sys.stderr)
         return EXIT_NOCONVERGE
     print(f"converged in {trace.iterations} iterations")
     return EXIT_OK

@@ -127,10 +127,10 @@ def _positions(ids: tuple[str, ...], index: Mapping[str, int]) -> np.ndarray:
 
 
 def _put(target: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
-    """``target.flat[flat] = values``, the last of repeated positions winning
-    as in a row-by-row loop."""
+    """``target.flat[flat] = values`` for a C-contiguous ``target``, the last
+    of repeated positions winning as in a row-by-row loop."""
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    target.flat[flat[last]] = values[last]
+    target.reshape(-1)[flat[last]] = values[last]
 
 
 def _put_symmetric(block: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:

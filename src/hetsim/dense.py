@@ -156,8 +156,10 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> d
         for w, oper, partner in weighted_sides(network, weights, ops, t.name):
             rows.append((w, oper, partner, start, start + oper.shape[1]))
             start += oper.shape[1]
-        blocks = [w * oper for w, oper, *_ in rows] or [sp.csr_matrix((t.size, 0))]
-        plan[t.name] = (sp.hstack(blocks, format="csr"), rows)
+        # hstack copies, so scaling B's data by each column's weight leaves ``ops`` as is.
+        b = sp.hstack([r[1] for r in rows] or [sp.csr_matrix((t.size, 0))], format="csr")
+        b.data *= np.repeat([r[0] for r in rows], [r[4] - r[3] for r in rows])[b.indices]
+        plan[t.name] = (b, rows)
     return plan
 
 
@@ -269,7 +271,7 @@ def classical_simrank(relation: Relation, decay: float, iters: int) -> np.ndarra
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
     n = relation.src.size
-    p = column_stochastic(relation, "forward").tocsr()
+    p = column_stochastic(relation, "forward")
     s = np.eye(n)
     for _ in range(iters):
         s = decay * (p.T @ (p.T @ s).T).T  # decay * P^T S P

@@ -167,13 +167,13 @@ def build_network(
     return HeteroNetwork(types, tuple(relations))
 
 
-def column_stochastic(relation: Relation, direction: str) -> sp.csc_matrix:
-    """Normalize a relation so that every nonempty column sums to 1.
+def column_stochastic(relation: Relation, direction: str) -> sp.csr_matrix:
+    """Normalize a relation so that every nonempty column sums to 1, as CSR.
 
     ``forward`` aggregates dst -> src (shape |src| x |dst|); ``reverse`` the
     opposite.  Each column with k >= 1 incident edges gets entries 1/k; the
     sparsity pattern equals the relation's edge pattern, and columns with no
-    edges stay all-zero (isolated entities).
+    edges stay all-zero (isolated entities); rows hold sorted column indices.
     """
     if direction == "forward":
         rows, cols = relation.src_idx, relation.dst_idx
@@ -183,11 +183,11 @@ def column_stochastic(relation: Relation, direction: str) -> sp.csc_matrix:
         shape = (relation.dst.size, relation.src.size)
     else:
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    counts = np.bincount(cols, minlength=shape[1])
-    data = np.zeros(rows.size)
-    if rows.size:
-        data = 1.0 / counts[cols]
-    return sp.csc_matrix((data, (rows, cols)), shape=shape)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    data = 1.0 / np.bincount(cols, minlength=shape[1])[cols]
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -252,17 +252,15 @@ def coupling_operators(
     network: HeteroNetwork,
 ) -> dict[str, tuple[sp.csr_matrix, sp.csr_matrix]]:
     """Per relation: (forward, reverse) normalized operators as CSR."""
-    out = {}
-    for r in network.relations:
-        fwd = column_stochastic(r, "forward").tocsr()
-        rev = column_stochastic(r, "reverse").tocsr()
-        out[r.name] = (fwd, rev)
-    return out
+    return {
+        r.name: (column_stochastic(r, "forward"), column_stochastic(r, "reverse"))
+        for r in network.relations
+    }
 
 
 def weighted_sides(network: HeteroNetwork, weights: WeightMatrix, ops, type_name: str) -> list:
     """(weight, W, partner name) per incident relation with nonzero weight, W
-    from ``coupling_operators``' result ``ops``, oriented toward the type."""
+    the entry of its (forward, reverse) pair in ``ops`` oriented toward the type."""
     out = []
     for r in network.incident(type_name):
         if w := weights.weight(type_name, r.name):
@@ -284,21 +282,18 @@ def check_convergence_conditions(
     if ops is None:
         ops = coupling_operators(network)
     bad: list[tuple[str, str, int]] = []
+    norms: dict[str, list[float]] = {}
     for r in network.relations:
         for direction, m in zip(("forward", "reverse"), ops[r.name]):
-            sums = np.asarray(m.sum(axis=0)).ravel()
-            off = (np.abs(sums - 1.0) > STOCHASTIC_TOL) & (sums != 0.0)
-            bad.extend((r.name, direction, int(col)) for col in np.nonzero(off)[0])
+            # Entries are 1/k > 0, so the signed column sums are also the
+            # absolute ones, and their max is ||W||_1.
+            col = np.bincount(m.indices, weights=m.data, minlength=m.shape[1])
+            off = (np.abs(col - 1.0) > STOCHASTIC_TOL) & (col != 0.0)
+            bad.extend((r.name, direction, int(j)) for j in np.nonzero(off)[0])
+            norms.setdefault(r.name, []).append(float(col.max()))
 
-    sums: dict[str, float] = {}
-    over: list[str] = []
-    bounds: dict[str, float] = {}
-    for t in network.types:
-        s = weights.type_sum(network, t.name)
-        sums[t.name] = s
-        if s > 1.0 + STOCHASTIC_TOL:
-            over.append(t.name)
-        sides = weighted_sides(network, weights, ops, t.name)
-        bounds[t.name] = sum((w * operator_one_norm(m) ** 2 for w, m, _ in sides), 0.0)
-
-    return ConditionReport(tuple(bad), tuple(over), sums, bounds)
+    sums = {t.name: weights.type_sum(network, t.name) for t in network.types}
+    over = tuple(name for name, s in sums.items() if s > 1.0 + STOCHASTIC_TOL)
+    sides = {name: weighted_sides(network, weights, norms, name) for name in sums}
+    bounds = {name: sum((w * n ** 2 for w, n, _ in s), 0.0) for name, s in sides.items()}
+    return ConditionReport(tuple(bad), over, sums, bounds)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hetsim
 from hetsim.dense import coupling_plan
@@ -35,3 +36,27 @@ def single_type_graph(adjacency, name="T"):
 def plan_for(network, weights):
     """The per-solve coupling plan that ``sweep`` and ``sweep_lowrank`` take."""
     return coupling_plan(network, weights, coupling_operators(network))
+
+
+@st.composite
+def networks_relations_weights(draw):
+    """1-3 types of 1-6 entities, 0-5 relations between drawn types (self-
+    relations allowed) on drawn edge subsets (empty ones and isolated columns
+    included), and weights that are zero, ordinary or overweight.  The last
+    type's weights are all zero, so it has no weighted side."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    types = [(f"t{i}", [f"t{i}e{j}" for j in range(n)]) for i, n in enumerate(sizes)]
+    relations = []
+    for k in range(draw(st.integers(0, 5))):
+        a, b = draw(st.integers(0, len(sizes) - 1)), draw(st.integers(0, len(sizes) - 1))
+        pairs = [(i, j) for i in range(sizes[a]) for j in range(sizes[b])]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        relations.append((f"r{k}", f"t{a}", f"t{b}",
+                          [(f"t{a}e{i}", f"t{b}e{j}") for i, j in edges]))
+    net = hetsim.build_network(types, relations)
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+    entries = {
+        (t.name, r.name): 0.0 if t is net.types[-1] else draw(weight)
+        for t in net.types for r in net.incident(t.name)
+    }
+    return net, hetsim.WeightMatrix(entries)

@@ -136,6 +136,31 @@ class TestSolve:
         assert "did not converge" in stderr
         assert (tmp_path / "o" / "trace.csv").is_file()
 
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_nonconvergence_names_the_stalling_type(self, tmp_path, capsys, max_iter):
+        bundle = tmp_path / "bundle"
+        run(["synth", "random", "--K", "3", "--N", "20", "--seed", "1",
+             "--out", str(bundle)], capsys)
+        code, stderr = run_process(
+            ["solve", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+             "--tol", "1e-12", "--max-iter", str(max_iter)]
+        )
+        net, _ = dataio.load_network(bundle)
+        _, trace = hetsim.solve_dense(
+            net, hetsim.default_weights(net),
+            hetsim.SolverConfig(tol=1e-12, max_iter=max_iter),
+        )
+        last = trace.per_type[-1]
+        name = max(last, key=last.get)
+        assert code == EXIT_NOCONVERGE
+        assert "Traceback" not in stderr and "second" not in stderr
+        assert f"stalling type {name!r}: residual={last[name]:.6g}" in stderr
+        if max_iter > 1:
+            ratio = last[name] / trace.per_type[-2][name]
+            assert f"last-sweep ratio={ratio:.6g}" in stderr
+        else:
+            assert "last-sweep" not in stderr
+
     @pytest.mark.parametrize("solver", ["dense", "lyapunov", "lowrank"])
     def test_diverging_solve_exits_three(self, tmp_path, capsys, solver):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=8, seed=0))

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hetsim
 from hetsim import model
-from hetsim.dense import ConditionError, classical_simrank, residual, sweep
+from hetsim.dense import ConditionError, classical_simrank, coupling_plan, residual, sweep
 
-from conftest import plan_for, single_type_graph
+from conftest import networks_relations_weights, plan_for, single_type_graph
 
 
 class TestSweep:
@@ -144,6 +145,29 @@ def test_solve_is_chained_sweeps_from_identity():
         assert np.array_equal(solved[t.name], state[t.name])
 
 
+@settings(max_examples=100, deadline=None)
+@given(networks_relations_weights())
+def test_coupling_plan_stacks_the_weighted_operators(case):
+    net, weights = case
+    ops = model.coupling_operators(net)
+    before = {name: [m.data.copy() for m in pair] for name, pair in ops.items()}
+    plan = coupling_plan(net, weights, ops)
+    assert not plan[net.types[-1].name][1]  # the type with no weighted side
+    for t in net.types:
+        sides = model.weighted_sides(net, weights, ops, t.name)
+        want = sp.hstack([w * m for w, m, _ in sides] or [sp.csr_matrix((t.size, 0))],
+                         format="csr")
+        stacked, rows = plan[t.name]
+        assert stacked.format == "csr" and stacked.shape == want.shape
+        assert np.array_equal(stacked.indptr, want.indptr)
+        assert np.array_equal(stacked.indices, want.indices)
+        assert np.array_equal(stacked.data, want.data)
+        assert len(rows) == len(sides)
+        assert all(r[0] == s[0] and r[1] is s[1] for r, s in zip(rows, sides))
+    for name, pair in ops.items():  # the plan scales a copy
+        assert all(np.array_equal(m.data, d) for m, d in zip(pair, before[name]))
+
+
 @st.composite
 def networks_and_reorderings(draw):
     """random_network(k in [2, 4], n in [3, 15]) or the hand-built network,
@@ -181,6 +205,17 @@ def test_solution_does_not_depend_on_listing_order(case):
     assert trace.iterations == again.iterations
     for name, block in first.blocks.items():
         np.testing.assert_allclose(second[name], block, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks_and_reorderings())
+def test_every_block_is_symmetric_with_unit_diagonal(case):
+    config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
+    for net in case:
+        solved, _ = hetsim.solve_dense(net, hetsim.default_weights(net), config)
+        for block in solved.blocks.values():
+            assert np.array_equal(np.diag(block), np.ones(len(block)))
+            np.testing.assert_allclose(block, block.T, rtol=0, atol=1e-14)
 
 
 @st.composite

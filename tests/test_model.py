@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetsim
 from hetsim.model import (
     NetworkError,
     STOCHASTIC_TOL,
+    ConditionReport,
     column_stochastic,
+    coupling_operators,
     operator_one_norm,
+    weighted_sides,
 )
+
+from conftest import networks_relations_weights
 
 
 class TestBuildNetwork:
@@ -128,6 +136,62 @@ class TestColumnStochastic:
         for r in net.relations:
             for direction in ("forward", "reverse"):
                 assert operator_one_norm(column_stochastic(r, direction)) <= 1 + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks_relations_weights())
+def test_column_stochastic_is_the_coo_built_csr(case):
+    net, _ = case
+    for r in net.relations:
+        for direction, rows, cols, shape in (
+            ("forward", r.src_idx, r.dst_idx, (r.src.size, r.dst.size)),
+            ("reverse", r.dst_idx, r.src_idx, (r.dst.size, r.src.size)),
+        ):
+            counts = np.bincount(cols, minlength=shape[1])
+            want = sp.csr_matrix((1.0 / counts[cols], (rows, cols)), shape=shape)
+            got = column_stochastic(r, direction)
+            assert got.format == "csr" and got.shape == shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+
+def reference_report(net, weights, ops) -> ConditionReport:
+    """The condition check from scipy column sums and ``operator_one_norm``."""
+    bad = []
+    for r in net.relations:
+        for direction, m in zip(("forward", "reverse"), ops[r.name]):
+            sums = np.asarray(m.sum(axis=0)).ravel()
+            off = (np.abs(sums - 1.0) > STOCHASTIC_TOL) & (sums != 0.0)
+            bad.extend((r.name, direction, int(col)) for col in np.nonzero(off)[0])
+    sums = {t.name: weights.type_sum(net, t.name) for t in net.types}
+    over = tuple(t for t, s in sums.items() if s > 1.0 + STOCHASTIC_TOL)
+    bounds = {
+        t.name: sum((w * operator_one_norm(m) ** 2
+                     for w, m, _ in weighted_sides(net, weights, ops, t.name)), 0.0)
+        for t in net.types
+    }
+    return ConditionReport(tuple(bad), over, sums, bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks_relations_weights(), st.integers(0, 2**32 - 1))
+def test_condition_check_matches_scipy_column_sums(case, seed):
+    # Rescaling whole columns keeps every entry of a column equal and
+    # positive, so the sums stay exact in any order while some columns stop
+    # being stochastic.
+    net, weights = case
+    ops = coupling_operators(net)
+    rng = np.random.default_rng(seed)
+    scaled = {}
+    for name, pair in ops.items():
+        scaled[name] = []
+        for m in pair:
+            m = m.copy()
+            m.data *= rng.choice([1.0, 0.5, 1.25], size=m.shape[1])[m.indices]
+            scaled[name].append(m)
+    for o in (ops, scaled):
+        assert hetsim.check_convergence_conditions(net, weights, o) == reference_report(net, weights, o)
 
 
 class TestDefaultWeights:
