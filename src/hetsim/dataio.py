@@ -4,11 +4,10 @@ All text formats are UTF-8 CSV with a header row; the bundle schema is one
 JSON document naming the per-type entity files and per-relation edge files.
 Values are written with 17 significant digits so doubles round-trip exactly.
 
-The similarity and factor files and the heatmap are written and read in
-whole-array passes, with the bytes and error messages of a row-by-row
-``csv`` loop: ids are quoted by the ``csv`` module, values are formatted
-with ``%.17g``, and a reader that meets any fault replays the file row by
-row to name the line.
+Every file is written and read in whole-array passes, with the bytes and
+error messages of a row-by-row ``csv`` loop: ids are quoted by the ``csv``
+module, values are formatted with ``%.17g``, and a reader that meets any
+fault replays the file row by row (``_replay``) to name the line.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ import math
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Mapping, NoReturn
+from typing import Mapping
 
 import numpy as np
 
 from .dense import SimilaritySet
 from .lowrank import FactoredSimilarity
-from .model import HeteroNetwork, WeightMatrix, build_network
+from .model import EntityType, HeteroNetwork, NetworkError, Relation, WeightMatrix, positions
 from .synth import PointCloud
 
 SCHEMA_NAME = "schema.json"
@@ -64,16 +63,6 @@ def _csv_body(path: Path, expected_header: list[str]):
         yield reader
 
 
-def _read_rows(path: Path, expected_header: list[str]):
-    with _csv_body(path, expected_header) as reader:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            yield lineno, row
-
-
 def _row_chunks(path: Path, expected_header: list[str], first: str | None = None):
     """The non-blank rows after the header, streamed in non-empty lists.
 
@@ -100,29 +89,31 @@ def _row_chunks(path: Path, expected_header: list[str], first: str | None = None
                 yield rows
 
 
-def _replay(path: Path, expected_header: list[str], check) -> NoReturn:
-    """Walk ``path`` row by row and raise the first error ``check`` finds.
-
-    The vectorized readers come here on any fault, so an error names the
-    same line, with the same message, as a row-by-row reader.
-    """
-    for lineno, row in _read_rows(path, expected_header):
-        check(lineno, row)
-    raise BundleError(f"{path}: unreadable rows")
-
-
-def _floats(fields: tuple[str, ...]) -> np.ndarray:
-    """``float()`` of each field: numpy parses a ``str`` as ``float()`` does."""
+@contextmanager
+def _replay(path: Path, expected_header: list[str], check):
+    """Around a vectorized reader of ``path``: on a fault (``_Malformed``, an id
+    ``positions`` lacks, or a ``NetworkError`` from what it builds), walk
+    ``path`` row by row and raise the first error ``check`` finds, with the
+    line and message a row-by-row reader would give."""
     try:
-        return np.array(fields, dtype=float)
-    except ValueError:
-        raise _Malformed from None
+        yield
+    except (_Malformed, KeyError, NetworkError):
+        with _csv_body(path, expected_header) as reader:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
+                check(lineno, row)
+        raise BundleError(f"{path}: unreadable rows") from None
 
 
-def _positions(ids: tuple[str, ...], index: Mapping[str, int]) -> np.ndarray:
+def _numbers(fields: tuple[str, ...], dtype=float) -> np.ndarray:
+    """``float()``, or ``int()`` within ``dtype``'s range, of each field:
+    numpy parses a ``str`` as Python does."""
     try:
-        return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
-    except KeyError:
+        return np.array(fields, dtype=dtype)
+    except (ValueError, OverflowError):
         raise _Malformed from None
 
 
@@ -220,42 +211,67 @@ def save_network(
     bundle = Path(bundle_dir)
     bundle.mkdir(parents=True, exist_ok=True)
     schema = {"types": [], "relations": []}
+    quoted = {}
     for t in network.types:
         fname = f"entities_{t.name}.csv"
         schema["types"].append({"name": t.name, "entities_csv": fname})
-        with open(bundle / fname, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id"])
-            for eid in t.ids:
-                w.writerow([eid])
+        quoted[t.name] = np.array(_quoted(t.ids), dtype=object)
+        # A row of one empty field is written as "", or it would read as a blank line.
+        rows = [q or '""' for q in quoted[t.name].tolist()]
+        (bundle / fname).write_text("id\r\n" + _csv_text("%s\r\n", rows), "utf-8", newline="")
     for r in network.relations:
         fname = f"edges_{r.name}.csv"
         schema["relations"].append(
             {"name": r.name, "src": r.src.name, "dst": r.dst.name, "edges_csv": fname}
         )
-        with open(bundle / fname, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["src_id", "dst_id"])
-            for a, b in r.edge_ids():
-                w.writerow([a, b])
+        src, dst = quoted[r.src.name][r.src_idx].tolist(), quoted[r.dst.name][r.dst_idx].tolist()
+        (bundle / fname).write_text(
+            "src_id,dst_id\r\n" + _csv_text("%s,%s\r\n", src, dst), "utf-8", newline=""
+        )
     if weights is not None:
-        rel_by_name = {r.name: r for r in network.relations}
-        schema["weights"] = [
-            {
-                "type": t,
-                "partner": (
-                    rel_by_name[r].dst.name
-                    if rel_by_name[r].src.name == t
-                    else rel_by_name[r].src.name
-                ),
-                "relation": r,
-                "weight": w,
-            }
-            for (t, r), w in sorted(weights.entries.items())
-        ]
-    with open(bundle / SCHEMA_NAME, "w", encoding="utf-8") as fh:
-        json.dump(schema, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        schema["weights"] = []
+        for (t, r), w in sorted(weights.entries.items()):
+            rel = network.relation(r)
+            partner = rel.dst.name if rel.src.name == t else rel.src.name
+            schema["weights"].append({"type": t, "partner": partner, "relation": r, "weight": w})
+    (bundle / SCHEMA_NAME).write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
+def _entity_type(bundle: Path, name: str, entities_csv: str) -> EntityType:
+    """A type from its entity file, ids in row order."""
+    path = bundle / entities_csv
+    seen = set()
+
+    def check(lineno, row):
+        if row[0] in seen:
+            raise BundleError(f"{path}:{lineno}: duplicate id {row[0]!r}")
+        seen.add(row[0])
+
+    with _replay(path, ["id"], check):  # a short or long row, or a repeated id
+        ids = tuple(r[0] for rows in _row_chunks(path, ["id"]) for r in rows)
+        if not ids:
+            raise BundleError(f"{path}: type {name!r} has no entities")
+        return EntityType(name, ids)
+
+
+def _relation(name: str, src: EntityType, dst: EntityType, path: Path) -> Relation:
+    """A relation from its edge file, each endpoint column mapped to indices at once."""
+    seen = set()
+
+    def check(lineno, row):
+        for t, eid in zip((src, dst), row):
+            if eid not in t.index:
+                raise BundleError(f"{path}:{lineno}: unknown {t.name} id {eid!r}")
+        if tuple(row) in seen:
+            raise BundleError(f"{path}:{lineno}: duplicate edge {row[0]!r} -> {row[1]!r}")
+        seen.add(tuple(row))
+
+    with _replay(path, ["src_id", "dst_id"], check):  # a bad row, an unknown id or a repeated edge
+        a, b = [], []
+        for rows in _row_chunks(path, ["src_id", "dst_id"]):
+            a += [r[0] for r in rows]
+            b += [r[1] for r in rows]
+        return Relation(name, src, dst, positions(a, src.index), positions(b, dst.index))
 
 
 def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
@@ -267,45 +283,25 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     type_entries, relation_entries = _fields(
         {"types": [], "relations": [], **schema}, schema_path, "types", "relations"
     )
-
-    type_specs = []
-    for tspec in type_entries:
-        name, entities_csv = _fields(tspec, schema_path, "name", "entities_csv")
-        path = bundle / entities_csv
-        ids, seen = [], set()
-        for lineno, row in _read_rows(path, ["id"]):
-            if row[0] in seen:
-                raise BundleError(f"{path}:{lineno}: duplicate id {row[0]!r}")
-            seen.add(row[0])
-            ids.append(row[0])
-        type_specs.append((name, ids))
-    id_sets = {name: set(ids) for name, ids in type_specs}
-
-    relation_specs = []
+    types = [_entity_type(bundle, *_fields(t, schema_path, "name", "entities_csv"))
+             for t in type_entries]
+    by_name = {t.name: t for t in types}
+    relations = []
     for rspec in relation_entries:
         keys = ("name", "src", "dst", "edges_csv")
         name, src, dst, edges_csv = _fields(rspec, schema_path, *keys)
-        path = bundle / edges_csv
-        if src not in id_sets or dst not in id_sets:
+        if src not in by_name or dst not in by_name:
             raise BundleError(f"{schema_path}: relation {name!r} references unknown type")
-        edges = []
-        for lineno, row in _read_rows(path, ["src_id", "dst_id"]):
-            if row[0] not in id_sets[src]:
-                raise BundleError(f"{path}:{lineno}: unknown {src} id {row[0]!r}")
-            if row[1] not in id_sets[dst]:
-                raise BundleError(f"{path}:{lineno}: unknown {dst} id {row[1]!r}")
-            edges.append((row[0], row[1]))
-        relation_specs.append((name, src, dst, edges))
-
-    network = build_network(type_specs, relation_specs)
-    weights = None
-    if "weights" in schema:
-        entries = {}
-        for e in _fields(schema, schema_path, "weights")[0]:
-            t, r, w = _fields(e, schema_path, "type", "relation", "weight")
-            entries[(t, r)] = float(w)
-        weights = WeightMatrix(entries)
-    return network, weights
+        relations.append(_relation(name, by_name[src], by_name[dst], bundle / edges_csv))
+    try:
+        network = HeteroNetwork(tuple(types), tuple(relations))
+    except NetworkError as exc:  # a repeated type or relation name
+        raise BundleError(f"{schema_path}: {exc}") from None
+    if "weights" not in schema:
+        return network, None
+    entries = [_fields(e, schema_path, "type", "relation", "weight")
+               for e in _fields(schema, schema_path, "weights")[0]]
+    return network, WeightMatrix({(t, r): float(w) for t, r, w in entries})
 
 
 def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
@@ -330,30 +326,28 @@ def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
     blocks = {t.name: np.eye(t.size) for t in network.types}
     types = {t.name: t for t in network.types}
     p = Path(path)
-    try:
+
+    def check(lineno, row):
+        tname, rid, cid, value = row
+        if tname not in types:
+            raise BundleError(f"{p}:{lineno}: unknown type {tname!r}")
+        t = types[tname]
+        if rid not in t.index or cid not in t.index:
+            raise BundleError(f"{p}:{lineno}: unknown entity id")
+        try:
+            float(value)
+        except ValueError:
+            raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
+
+    with _replay(p, _SIM_HEADER, check):
         for rows in _row_chunks(p, _SIM_HEADER):
             for tname in {r[0] for r in rows}:
                 if tname not in types:
                     raise _Malformed
                 index = types[tname].index
                 _, rids, cids, values = zip(*(r for r in rows if r[0] == tname))
-                _put_symmetric(blocks[tname], _positions(rids, index),
-                               _positions(cids, index), _floats(values))
-    except _Malformed:
-
-        def check(lineno, row):
-            tname, rid, cid, value = row
-            if tname not in types:
-                raise BundleError(f"{p}:{lineno}: unknown type {tname!r}")
-            t = types[tname]
-            if rid not in t.index or cid not in t.index:
-                raise BundleError(f"{p}:{lineno}: unknown entity id")
-            try:
-                float(value)
-            except ValueError:
-                raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
-
-        _replay(p, _SIM_HEADER, check)
+                _put_symmetric(blocks[tname], positions(rids, index),
+                               positions(cids, index), _numbers(values))
     return SimilaritySet(blocks)
 
 
@@ -366,22 +360,20 @@ def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     p = Path(path)
     seen: dict[str, int] = {}
     parts = []
-    try:
+
+    def check(lineno, row):
+        if row[0] == type_name:
+            try:
+                float(row[3])
+            except ValueError:
+                raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
+
+    with _replay(p, _SIM_HEADER, check):
         for rows in _row_chunks(p, _SIM_HEADER, first=type_name):
             _, rids, cids, values = zip(*rows)
             for eid in dict.fromkeys(e for pair in zip(rids, cids) for e in pair):
                 seen.setdefault(eid, len(seen))
-            parts.append((_positions(rids, seen), _positions(cids, seen), _floats(values)))
-    except _Malformed:
-
-        def check(lineno, row):
-            if row[0] == type_name:
-                try:
-                    float(row[3])
-                except ValueError:
-                    raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
-
-        _replay(p, _SIM_HEADER, check)
+            parts.append((positions(rids, seen), positions(cids, seen), _numbers(values)))
     if not seen:
         raise BundleError(f"{p}: no rows for type {type_name!r}")
     block = np.eye(len(seen))
@@ -407,16 +399,13 @@ def save_factors(
             {"name": t.name, "n": t.size, "rank": f.rank, "u_csv": u_name, "d_csv": d_name}
         )
         rows, cols = np.indices(f.U.shape).reshape(2, -1)
-        with open(out / u_name, "w", newline="", encoding="utf-8") as fh:
-            fh.write("row,col,value\r\n")
-            fh.write(_csv_text(f"%d,%d,{_FMT}\r\n",
-                               rows.tolist(), cols.tolist(), f.U.ravel().tolist()))
-        with open(out / d_name, "w", newline="", encoding="utf-8") as fh:
-            fh.write("k,value\r\n")
-            fh.write(_csv_text(f"%d,{_FMT}\r\n", list(range(f.rank)), f.d.tolist()))
-    with open(out / FACTORS_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        (out / u_name).write_text("row,col,value\r\n" + _csv_text(
+            f"%d,%d,{_FMT}\r\n", rows.tolist(), cols.tolist(), f.U.ravel().tolist()
+        ), "utf-8", newline="")
+        (out / d_name).write_text("k,value\r\n" + _csv_text(
+            f"%d,{_FMT}\r\n", list(range(f.rank)), f.d.tolist()
+        ), "utf-8", newline="")
+    (out / FACTORS_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.ndarray:
@@ -427,7 +416,17 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
         raise BundleError(f"{path}: shape {shape} needs more rows than the file holds")
     out, seen = np.zeros(shape), np.zeros(math.prod(shape), dtype=bool)
     axes = len(shape)
-    try:
+
+    def check(lineno, row):
+        try:
+            index = [int(x) for x in row[:axes]]
+            float(row[axes])
+        except ValueError:
+            index = None
+        if index is None or not all(0 <= i < n for i, n in zip(index, shape)):
+            raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")
+
+    with _replay(path, header, check):
         for rows in _row_chunks(path, header):
             *indices, values = zip(*rows)
             try:
@@ -436,20 +435,8 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
                 )
             except (ValueError, OverflowError):
                 raise _Malformed from None
-            _put(out, flat, _floats(values))
+            _put(out, flat, _numbers(values))
             seen[flat] = True
-    except _Malformed:
-
-        def check(lineno, row):
-            try:
-                index = [int(x) for x in row[:axes]]
-                float(row[axes])
-            except ValueError:
-                index = None
-            if index is None or not all(0 <= i < n for i, n in zip(index, shape)):
-                raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")
-
-        _replay(path, header, check)
     if not seen.all():
         raise BundleError(f"{path}: no row for {seen.size - seen.sum()} of {seen.size} entries")
     return out
@@ -470,26 +457,31 @@ def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
 
 
 def save_points(points: PointCloud, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "x", "y"])
-        for k, layer in enumerate(points.layers):
-            for x, y in layer:
-                w.writerow([k, _FMT % x, _FMT % y])
+    sizes = [len(layer) for layer in points.layers]
+    x, y = np.concatenate([*points.layers, np.empty((0, 2))]).T.tolist()
+    Path(path).write_text("layer,x,y\r\n" + _csv_text(
+        f"%d,{_FMT},{_FMT}\r\n", np.repeat(np.arange(len(sizes)), sizes).tolist(), x, y
+    ), "utf-8", newline="")
 
 
 def load_points(path) -> PointCloud:
-    p = Path(path)
-    layers: dict[int, list[tuple[float, float]]] = {}
-    for lineno, row in _read_rows(p, ["layer", "x", "y"]):
+    p, header = Path(path), ["layer", "x", "y"]
+    parts = []
+
+    def check(lineno, row):
         try:
-            layers.setdefault(int(row[0]), []).append((float(row[1]), float(row[2])))
-        except ValueError:
+            _numbers(row[:1], np.int64), _numbers(row[1:])
+        except _Malformed:
             raise BundleError(f"{p}:{lineno}: malformed point row") from None
-    if not layers:
+
+    with _replay(p, header, check):
+        for rows in _row_chunks(p, header):
+            k, x, y = zip(*rows)
+            parts.append((_numbers(k, np.int64), _numbers(x), _numbers(y)))
+    if not parts:
         raise BundleError(f"{p}: no points")
-    ordered = [np.asarray(layers[k], dtype=float) for k in sorted(layers)]
-    return PointCloud(tuple(ordered))
+    layer, x, y = (np.concatenate(c) for c in zip(*parts))
+    return PointCloud(tuple(np.column_stack([x, y])[layer == k] for k in np.unique(layer)))
 
 
 # Two-stop linear color ramp for heatmaps (low -> high).

@@ -165,8 +165,9 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> d
 
 def _coupling(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> dict:
     """Per type, sum_r w W S_p W^T before any diagonal handling, as B g: the
-    gather buffer g stacks (W_i S_p_i)^T = S_p_i W_i^T over t's sides, one
-    side's product alive at a time."""
+    gather buffer g stacks (W_i S_p_i)^T, taken as S_p_i W_i^T, over t's sides,
+    one side's product alive at a time.  So the result is symmetric only to
+    rounding (off by up to 2.2e-16 seen), as are the iterates built on it."""
     acc = {}
     for t in network.types:
         stacked, rows = plan[t.name]
@@ -180,8 +181,10 @@ def _coupling(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> dict:
 def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> SimilaritySet:
     """One Jacobi sweep: every block recomputed from the previous iterate only.
 
-    ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` must be
-    symmetric, as every iterate is: the coupling uses (W S_p)^T = S_p W^T."""
+    ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` are taken as
+    symmetric (``_coupling``); iterates are so only to rounding, and the
+    similarity CSV stores the upper triangle.  Symmetrizing every sweep would
+    cost sweep time and change the chained iterates."""
     for t in network.types:
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")

@@ -216,14 +216,17 @@ def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None
 def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
     """Frobenius distance between two factored blocks without densifying.
 
-    || U' D' U'^T - U D U^T ||_F via the Gram matrix of the stacked factors.
-    """
-    z = np.hstack([new.U, old.U])
-    c = np.concatenate([new.d, -old.d])
-    if c.size == 0:
-        return 0.0
-    g = z.T @ z
-    val = float((np.outer(c, c) * g * g).sum())
+    ``new.U`` must have orthonormal columns, as ``randomized_eig`` returns.
+    With P = U'^T U, E = U - U' P and G = E^T E, || U' D' U'^T - U D U^T ||_F^2
+    is ||D' - P D P^T||^2 + 2 <(P D) G, P D> + <G D, (G D)^T>: no term is a
+    difference of large ones, so equal factor pairs read near 0."""
+    p = new.U.T @ old.U
+    e = old.U - new.U @ p
+    g = e.T @ e
+    pd, gd = p * old.d, g * old.d
+    core = pd @ p.T
+    core.flat[:: core.shape[0] + 1] -= new.d  # P D P^T - D'
+    val = np.vdot(core, core) + 2 * np.vdot(pd @ g, pd) + np.vdot(gd, gd.T)
     return float(np.sqrt(max(val, 0.0)))
 
 

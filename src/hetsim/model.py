@@ -34,7 +34,7 @@ class EntityType:
     def __post_init__(self):
         if not self.ids:
             raise NetworkError(f"type {self.name!r} has no entities")
-        idx = {eid: i for i, eid in enumerate(self.ids)}
+        idx = dict(zip(self.ids, range(len(self.ids))))
         if len(idx) != len(self.ids):
             raise NetworkError(f"type {self.name!r} has duplicate entity ids")
         object.__setattr__(self, "index", idx)
@@ -64,8 +64,8 @@ class Relation:
                 raise NetworkError(f"relation {self.name!r}: src index out of range")
             if di.min() < 0 or di.max() >= self.dst.size:
                 raise NetworkError(f"relation {self.name!r}: dst index out of range")
-            keys = si * self.dst.size + di
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(si * self.dst.size + di)
+            if (keys[1:] == keys[:-1]).any():
                 raise NetworkError(f"relation {self.name!r}: duplicate edges")
         object.__setattr__(self, "src_idx", si)
         object.__setattr__(self, "dst_idx", di)
@@ -140,7 +140,7 @@ def build_network(
 
     ``type_specs``: (name, entity ids); ``relation_specs``:
     (name, src type, dst type, [(src id, dst id), ...]).  Index order
-    follows listing order.
+    follows listing order; an unknown id is named at its first edge.
     """
     types = tuple(EntityType(name, tuple(ids)) for name, ids in type_specs)
     by_name = {t.name: t for t in types}
@@ -153,18 +153,20 @@ def build_network(
         if dst_name not in by_name:
             raise NetworkError(f"relation {name!r}: unknown dst type {dst_name!r}")
         src, dst = by_name[src_name], by_name[dst_name]
-        si, di = [], []
-        for a, b in edges:
-            if a not in src.index:
-                raise NetworkError(f"relation {name!r}: unknown entity id {a!r}")
-            if b not in dst.index:
-                raise NetworkError(f"relation {name!r}: unknown entity id {b!r}")
-            si.append(src.index[a])
-            di.append(dst.index[b])
-        relations.append(
-            Relation(name, src, dst, np.asarray(si, np.int64), np.asarray(di, np.int64))
-        )
+        edges = list(edges)
+        try:
+            si = positions([a for a, _ in edges], src.index)
+            di = positions([b for _, b in edges], dst.index)
+        except KeyError:
+            bad = next(x for e in edges for x, t in zip(e, (src, dst)) if x not in t.index)
+            raise NetworkError(f"relation {name!r}: unknown entity id {bad!r}") from None
+        relations.append(Relation(name, src, dst, si, di))
     return HeteroNetwork(types, tuple(relations))
+
+
+def positions(ids: Sequence[str], index: Mapping[str, int]) -> np.ndarray:
+    """The index of each id; a KeyError names the first one ``index`` lacks."""
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
 def column_stochastic(relation: Relation, direction: str) -> sp.csr_matrix:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import hetsim
 from hetsim.dense import coupling_plan
-from hetsim.model import coupling_operators
+from hetsim.model import EntityType, HeteroNetwork, NetworkError, Relation, coupling_operators
 
 
 @pytest.fixture
@@ -31,6 +31,53 @@ def single_type_graph(adjacency, name="T"):
     ii, jj = np.nonzero(a)
     edges = [(f"v{i}", f"v{j}") for i, j in zip(ii, jj)]
     return hetsim.build_network([(name, ids)], [("e", name, name, edges)])
+
+
+def build_network_loop(type_specs, relation_specs):
+    """The per-edge ``build_network`` that the whole-array one replaced, kept
+    as its oracle."""
+    types = tuple(EntityType(name, tuple(ids)) for name, ids in type_specs)
+    by_name = {t.name: t for t in types}
+    if len(by_name) != len(types):
+        raise NetworkError("duplicate type names")
+    relations = []
+    for name, src_name, dst_name, edges in relation_specs:
+        if src_name not in by_name:
+            raise NetworkError(f"relation {name!r}: unknown src type {src_name!r}")
+        if dst_name not in by_name:
+            raise NetworkError(f"relation {name!r}: unknown dst type {dst_name!r}")
+        src, dst = by_name[src_name], by_name[dst_name]
+        si, di = [], []
+        for a, b in edges:
+            if a not in src.index:
+                raise NetworkError(f"relation {name!r}: unknown entity id {a!r}")
+            if b not in dst.index:
+                raise NetworkError(f"relation {name!r}: unknown entity id {b!r}")
+            si.append(src.index[a])
+            di.append(dst.index[b])
+        relations.append(
+            Relation(name, src, dst, np.asarray(si, np.int64), np.asarray(di, np.int64))
+        )
+    return HeteroNetwork(types, tuple(relations))
+
+
+def assert_same_network(got, want):
+    """Equal type names and ids, and equal relations: names, endpoint types,
+    and edge index arrays with their dtype."""
+    assert [(t.name, t.ids) for t in got.types] == [(t.name, t.ids) for t in want.types]
+    assert len(got.relations) == len(want.relations)
+    for a, b in zip(got.relations, want.relations):
+        assert (a.name, a.src.name, a.dst.name) == (b.name, b.src.name, b.dst.name)
+        for x, y in ((a.src_idx, b.src_idx), (a.dst_idx, b.dst_idx)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def outcome(build, *args):
+    """``build(*args)``, or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
 
 
 def plan_for(network, weights):

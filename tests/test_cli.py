@@ -507,6 +507,31 @@ class TestMissingKeys:
         path.write_text(text)
         self._exits_with_io_error(["check", "--bundle", str(bundle)])
 
+    def test_repeated_edge_is_io_error(self, tmp_path):
+        bundle, _ = self._schema(tmp_path)
+        edges = bundle / "edges_r.csv"
+        edges.write_text(edges.read_text() + "a2,b1\n")  # line 4 repeats line 3
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{edges}:4: duplicate edge 'a2' -> 'b1'" in stderr
+
+    @pytest.mark.parametrize("section,message", [
+        ("types", "duplicate type names"), ("relations", "duplicate relation names"),
+    ])
+    def test_repeated_schema_name_is_io_error(self, tmp_path, section, message):
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        schema[section].append(schema[section][0])
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{path}: {message}" in stderr
+
+    def test_entity_file_without_rows_is_io_error(self, tmp_path):
+        bundle, _ = self._schema(tmp_path)
+        entities = bundle / "entities_B.csv"
+        entities.write_text("id\n")
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{entities}: type 'B' has no entities" in stderr
+
     @pytest.mark.parametrize("key", ["types", "name", "n", "rank", "u_csv", "d_csv"])
     def test_factor_manifest_without_key_is_io_error(self, tmp_path, key):
         factors, path = self._manifest(tmp_path)

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hetsim import dataio
 from hetsim.dataio import BundleError
 from hetsim.lowrank import FactoredSimilarity
 from hetsim.synth import PointCloud
+
+from conftest import assert_same_network, build_network_loop, outcome
 
 
 class TestNetworkRoundTrip:
@@ -218,12 +221,17 @@ GOLDEN = Path(__file__).parent / "data"
 
 def golden_inputs():
     """A fixed network whose ids need csv quoting (commas, double quotes, a
-    line break, an empty id, non-ASCII text), seeded values with edge cases,
-    factors including a rank-0 type, and a heatmap matrix with ties."""
+    line break, an empty id, non-ASCII text, ``%``), with a self-relation and
+    an empty relation, seeded values with edge cases, factors including a
+    rank-0 type, and a heatmap matrix with ties."""
     net = hetsim.build_network(
         [("paper", ["p,1", 'p"2"', "Zürich", "東京", "", " lead", "line\nbreak"]),
          ("venue", ["v1", "v,2", 'Ωmega"', "ve%s"])],
-        [],
+        [("cites", "paper", "paper", [("p,1", 'p"2"'), ("東京", "p,1"), ("", "line\nbreak"),
+                                      ("line\nbreak", ""), (" lead", " lead")]),
+         ("in", "paper", "venue", [("p,1", "v,2"), ('p"2"', "ve%s"), ("Zürich", 'Ωmega"'),
+                                   ("", "v1"), ("東京", "v1"), ("line\nbreak", "ve%s")]),
+         ("none", "venue", "venue", [])],
     )
     rng = np.random.default_rng(2015)
     blocks = {}
@@ -250,6 +258,7 @@ def write_golden(out_dir):
     writers that the vectorized ones replaced."""
     out = Path(out_dir)
     net, state, factors, heat = golden_inputs()
+    dataio.save_network(net, out / "bundle", weights=hetsim.default_weights(net))
     dataio.save_similarity(state, net, out / "similarity.csv")
     dataio.save_factors(factors, net, out / "factors", seed=5, iterations=7)
     dataio.export_heatmap(heat, out / "heatmap.svg")
@@ -257,7 +266,9 @@ def write_golden(out_dir):
 
 GOLDEN_FILES = ["similarity.csv", "heatmap.svg", "factors/factors.json",
                 "factors/U_paper.csv", "factors/D_paper.csv",
-                "factors/U_venue.csv", "factors/D_venue.csv"]
+                "factors/U_venue.csv", "factors/D_venue.csv",
+                "bundle/schema.json", "bundle/entities_paper.csv", "bundle/entities_venue.csv",
+                "bundle/edges_cites.csv", "bundle/edges_in.csv", "bundle/edges_none.csv"]
 
 
 class TestGoldenBytes:
@@ -277,6 +288,12 @@ class TestGoldenBytes:
         for name, f in dataio.load_factors(GOLDEN / "factors").items():
             assert f.U.tobytes() == factors[name].U.tobytes()
             assert f.d.tobytes() == factors[name].d.tobytes()
+
+    def test_golden_bundle_reads_back_the_network(self):
+        net = golden_inputs()[0]
+        loaded, weights = dataio.load_network(GOLDEN / "bundle")
+        assert_same_network(loaded, net)
+        assert weights.entries == hetsim.default_weights(net).entries
 
 
 def heatmap_loop(matrix, cell=8) -> str:
@@ -537,3 +554,145 @@ class TestStreamingReaderErrors:
             BundleError, match=exactly(f"{path}:4: malformed or out-of-range factor row")
         ):
             dataio.load_factors(tmp_path)
+
+
+# -- the bundle loader against the row-by-row one ----------------------------------
+
+def read_rows(path, expected_header):
+    """The row-by-row reader that the streaming ones replaced."""
+    with dataio._csv_body(path, expected_header) as reader:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected_header):
+                raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
+            yield lineno, row
+
+
+def load_network_rows(bundle_dir):
+    """The row-by-row ``load_network`` that the streaming one replaced, kept
+    as its oracle: each id checked against a set, then ``build_network``."""
+    bundle = Path(bundle_dir)
+    schema_path = bundle / dataio.SCHEMA_NAME
+    schema = dataio._read_json(schema_path)
+    type_entries, relation_entries = dataio._fields(
+        {"types": [], "relations": [], **schema}, schema_path, "types", "relations"
+    )
+    type_specs = []
+    for tspec in type_entries:
+        name, entities_csv = dataio._fields(tspec, schema_path, "name", "entities_csv")
+        path = bundle / entities_csv
+        ids, seen = [], set()
+        for lineno, row in read_rows(path, ["id"]):
+            if row[0] in seen:
+                raise BundleError(f"{path}:{lineno}: duplicate id {row[0]!r}")
+            seen.add(row[0])
+            ids.append(row[0])
+        type_specs.append((name, ids))
+    id_sets = {name: set(ids) for name, ids in type_specs}
+    relation_specs = []
+    for rspec in relation_entries:
+        keys = ("name", "src", "dst", "edges_csv")
+        name, src, dst, edges_csv = dataio._fields(rspec, schema_path, *keys)
+        path = bundle / edges_csv
+        if src not in id_sets or dst not in id_sets:
+            raise BundleError(f"{schema_path}: relation {name!r} references unknown type")
+        edges = []
+        for lineno, row in read_rows(path, ["src_id", "dst_id"]):
+            if row[0] not in id_sets[src]:
+                raise BundleError(f"{path}:{lineno}: unknown {src} id {row[0]!r}")
+            if row[1] not in id_sets[dst]:
+                raise BundleError(f"{path}:{lineno}: unknown {dst} id {row[1]!r}")
+            edges.append((row[0], row[1]))
+        relation_specs.append((name, src, dst, edges))
+    network = build_network_loop(type_specs, relation_specs)
+    weights = None
+    if "weights" in schema:
+        entries = {}
+        for e in dataio._fields(schema, schema_path, "weights")[0]:
+            t, r, w = dataio._fields(e, schema_path, "type", "relation", "weight")
+            entries[(t, r)] = float(w)
+        weights = hetsim.WeightMatrix(entries)
+    return network, weights
+
+
+CORRUPTIONS = [None, "unknown id", "repeated id", "repeated edge", "short row", "long row",
+               "blank line", "bad header", "missing file"]
+
+
+def corrupt(bundle, net, kind, data):
+    """Apply one corruption to a saved bundle, in a file drawn from those it
+    applies to (none: the bundle stays whole).  Returns the message of a
+    repeated edge, which the row-by-row loader reported without a file or
+    line, as a NetworkError."""
+    files = {f"entities_{t.name}.csv": t for t in net.types}
+    files.update({f"edges_{r.name}.csv": r for r in net.relations})
+    fits = {
+        "unknown id": lambda f: f.startswith("edges_"),
+        "repeated id": lambda f: f.startswith("entities_"),
+        "repeated edge": lambda f: f.startswith("edges_") and files[f].n_edges,
+        "short row": lambda f: f.startswith("edges_") and files[f].n_edges,
+        "long row": lambda f: f.startswith("entities_") or files[f].n_edges,
+    }.get(kind, lambda f: True)
+    names = sorted(f for f in files if fits(f))
+    if kind is None or not names:
+        return None
+    path = bundle / data.draw(st.sampled_from(names))
+    if kind == "missing file":
+        path.unlink()
+        return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    where = data.draw(st.integers(0, len(rows)))
+    message = None
+    if kind == "bad header":
+        header = [header[0] + "x", *header[1:]]
+    elif kind == "blank line":
+        rows.insert(where, [])
+    elif kind in ("short row", "long row"):
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k][:-1] if kind == "short row" else [*rows[k], "x"]
+    elif kind == "unknown id":
+        relation = files[path.name]
+        side = data.draw(st.integers(0, 1))
+        ids = (relation.src, relation.dst)[side].ids
+        row = [relation.src.ids[0], relation.dst.ids[0]]
+        row[side] = "?" * (1 + max(map(len, ids)))  # longer than every id of its type
+        rows.insert(where, row)
+    else:  # a repeated id or edge
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows.insert(where, list(rows[k]))
+        if kind == "repeated edge":
+            a, b = rows[where]
+            second = max(where, k + (where <= k))  # the later of the copy and the original
+            message = f"{path}:{2 + second}: duplicate edge {a!r} -> {b!r}"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return message
+
+
+class TestLoaderOracle:
+    """``load_network`` reads the row-by-row loader's network, or raises its
+    error, at any chunk size; a repeated edge now names its file and line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_load_network_matches_the_row_by_row_loader(self, tmp_path_factory, data):
+        net = data.draw(networks(relations=True))
+        bundle = tmp_path_factory.mktemp("b")
+        weights = hetsim.default_weights(net) if data.draw(st.booleans()) else None
+        dataio.save_network(net, bundle, weights=weights)
+        repeated_edge = corrupt(bundle, net, data.draw(st.sampled_from(CORRUPTIONS)), data)
+        want = outcome(load_network_rows, bundle)
+        for chunk in (1, 2, 3, dataio._CHUNK_ROWS):
+            with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+                got = outcome(dataio.load_network, bundle)
+            if repeated_edge:
+                assert want[0] is hetsim.NetworkError and want[1].endswith("duplicate edges")
+                assert got == (BundleError, repeated_edge)
+            elif isinstance(want[0], type):
+                assert got == want
+            else:
+                assert_same_network(got[0], want[0])
+                assert_same_network(got[0], net)
+                assert (got[1] and got[1].entries) == (want[1] and want[1].entries)

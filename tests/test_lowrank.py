@@ -385,14 +385,34 @@ class TestSolveLowrank:
 
     def test_factored_residual_matches_dense_residual(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            n, k1, k2 = 30, 4, 6
+        n = 30
+        for k1, k2 in [(4, 6)] * 10 + [(0, 3), (3, 0), (0, 0)]:  # rank 0 on either side
             u1, _ = np.linalg.qr(rng.standard_normal((n, k1)))
             u2, _ = np.linalg.qr(rng.standard_normal((n, k2)))
             f1 = FactoredSimilarity(u1, rng.standard_normal(k1))
             f2 = FactoredSimilarity(u2, rng.standard_normal(k2))
             dense = np.linalg.norm(f2.dense() - f1.dense())
             assert factored_residual(f1, f2) == pytest.approx(dense, abs=1e-8)
+
+    @staticmethod
+    def _orthonormal_pairs():
+        """544 x 15 orthonormal factors with |d| up to 30, as on test_10's papers."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.standard_normal((544, 15)))
+            yield u, rng.uniform(-30, 30, 15)
+
+    def test_factored_residual_of_identical_factors_is_rounding(self):
+        for u, d in self._orthonormal_pairs():
+            f = FactoredSimilarity(u, d)
+            assert factored_residual(f, FactoredSimilarity(u.copy(), d.copy())) <= 1e-12 * 30
+
+    def test_factored_residual_resolves_a_tiny_change(self):
+        for k, (u, d) in enumerate(self._orthonormal_pairs()):
+            moved = d.copy()
+            moved[k] += 1e-12
+            residual = factored_residual(FactoredSimilarity(u, d), FactoredSimilarity(u, moved))
+            assert residual == pytest.approx(1e-12, rel=0.1, abs=0)
 
     def test_deterministic_across_runs(self):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=25, seed=1))

@@ -17,7 +17,12 @@ from hetsim.model import (
     weighted_sides,
 )
 
-from conftest import networks_relations_weights
+from conftest import (
+    assert_same_network,
+    build_network_loop,
+    networks_relations_weights,
+    outcome,
+)
 
 
 class TestBuildNetwork:
@@ -84,6 +89,44 @@ class TestBuildNetwork:
         net = hetsim.build_network(type_specs, rel_specs)
         assert [t.size for t in net.types] == [3625, 99, 65, 554]
         assert len(net.relations) == 3
+
+
+# Ids that csv must quote, drawn from one pool so that a type's ids recur in
+# other types and an edge can name an id its type lacks.
+HOSTILE_ID = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\r\n %'), max_size=4)
+
+
+@st.composite
+def network_specs(draw):
+    """``build_network`` arguments: 1-3 types, 0-3 relations whose edges may
+    name unknown ids or repeat, and now and then an unknown endpoint type."""
+    names = draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True))
+    pool = draw(st.lists(HOSTILE_ID, min_size=1, max_size=6, unique=True))
+    ids = st.lists(st.sampled_from(pool), min_size=1, unique=True)
+    types = [(n, draw(ids)) for n in names]
+    ends = st.sampled_from(names) | st.just("Z")
+    edge = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    relations = [(f"r{k}", draw(ends), draw(ends), draw(st.lists(edge, max_size=8)))
+                 for k in range(draw(st.integers(0, 3)))]
+    return types, relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_specs())
+def test_build_network_matches_the_per_edge_loop(specs):
+    """The whole-array id mapping builds the per-edge loop's network, or
+    raises its error with its message (the first unknown id, edge by edge)."""
+    got, want = outcome(hetsim.build_network, *specs), outcome(build_network_loop, *specs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_network(got, want)
+    # Duplicate edges are found independently of Relation's own check.
+    for name, _, _, edges in specs[1]:
+        if want == (NetworkError, f"relation {name!r}: duplicate edges"):
+            assert len(set(edges)) < len(edges)
+        elif not isinstance(want, tuple):
+            assert len(set(edges)) == len(edges)
 
 
 class TestColumnStochastic:
