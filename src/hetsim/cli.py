@@ -66,8 +66,9 @@ def _parse_sweep(text: str) -> list[float]:
     return grid
 
 
-def _svd_config(network: model.HeteroNetwork, ranks: str, oversample, power, seed):
-    """The low-rank solver's settings; ``ranks`` is an integer or 'full'."""
+def _svd_config(network: model.HeteroNetwork, args, seed: int) -> lowrank.SvdConfig:
+    """SvdConfig from the shared solver options; ``--ranks`` is an integer or 'full'."""
+    ranks = args.ranks
     if ranks == "full":
         rank = max((t.size for t in network.types), default=1)
     else:
@@ -77,10 +78,7 @@ def _svd_config(network: model.HeteroNetwork, ranks: str, oversample, power, see
             raise ConfigError(f"--ranks must be an integer or 'full', got {ranks!r}") from None
         if rank < 1:
             raise ConfigError("--ranks must be at least 1")
-    return lowrank.SvdConfig(
-        rank={t.name: min(rank, t.size) for t in network.types},
-        oversample=oversample, power=power, seed=seed,
-    )
+    return lowrank.SvdConfig(rank=rank, oversample=args.oversample, power=args.power, seed=seed)
 
 
 def cmd_check(args) -> int:
@@ -119,7 +117,7 @@ def cmd_solve(args) -> int:
     check = not args.force
 
     if args.solver == "lowrank":
-        svd = _svd_config(network, args.ranks, args.oversample, args.power, args.seed)
+        svd = _svd_config(network, args, args.seed)
         states, trace = lowrank.solve_lowrank(network, weights, config, svd, check=check)
         dataio.save_factors(states, network, out / "factors", args.seed, trace.iterations)
     else:
@@ -158,10 +156,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _solve_layer_blocks(network, solver, config, ranks_text, oversample, power, seed):
+def _solve_layer_blocks(network, args, config, seed):
     weights = model.default_weights(network)
-    if solver == "lowrank":
-        svd = _svd_config(network, ranks_text, oversample, power, seed)
+    if args.solver == "lowrank":
+        svd = _svd_config(network, args, seed)
         states, trace = lowrank.solve_lowrank(network, weights, config, svd)
         return {name: f.dense() for name, f in states.items()}, trace.converged
     state, trace = dense.solve_dense(network, weights, config)
@@ -171,23 +169,19 @@ def _solve_layer_blocks(network, solver, config, ranks_text, oversample, power, 
 def cmd_eval_q(args) -> int:
     config = dense.SolverConfig(tol=args.tol, max_iter=args.max_iter)
     if args.sweep:
+        if args.trials < 1:
+            raise ConfigError("--trials must be at least 1")
         counts = _parse_counts(args.counts)
         grid = _parse_sweep(args.sweep)
         for ridx, r in enumerate(grid):
             qs = []
             unconverged = 0
             for trial in range(args.trials):
-                seed = int(
-                    np.random.SeedSequence(
-                        entropy=args.seed, spawn_key=(ridx, trial)
-                    ).generate_state(1)[0]
-                )
+                seq = np.random.SeedSequence(entropy=args.seed, spawn_key=(ridx, trial))
+                seed = int(seq.generate_state(1)[0])
                 spec = synth.LayeredGraphSpec(counts=counts, radius=r, seed=seed)
                 network, points = synth.layered_points_graph(spec)
-                blocks, converged = _solve_layer_blocks(
-                    network, args.solver, config, args.ranks,
-                    args.oversample, args.power, seed,
-                )
+                blocks, converged = _solve_layer_blocks(network, args, config, seed)
                 unconverged += not converged
                 qs.append(synth.layer_quality(points, blocks)[0])
             print(f"r={r:g} meanQ={np.mean(qs):.6g} trials={len(qs)} "
@@ -250,15 +244,21 @@ def cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
+def _add_solver_options(p: argparse.ArgumentParser, solvers: list[str]) -> None:
+    """The solver options ``solve`` and ``eval-q`` share, each default once."""
+    p.add_argument("--solver", choices=solvers, default="dense")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--ranks", default="10", help="per-type rank (integer) or 'full'")
+    p.add_argument("--oversample", type=int, default=10)
+    p.add_argument("--power", type=int, default=2)
+    p.add_argument("--seed", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetsim",
         description="Per-type similarity over heterogeneous networks.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="recorded in the configuration line only; sets no thread count (result "
-             "files are byte-identical at a fixed BLAS thread count)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,14 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a bundle and write similarity + trace")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--solver", choices=["dense", "lowrank", "lyapunov"], default="dense")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100)
+    _add_solver_options(p, ["dense", "lowrank", "lyapunov"])
     p.add_argument("--c", type=float, default=0.8, help="damping for the lyapunov solver")
-    p.add_argument("--ranks", default="10", help="per-type rank (integer) or 'full'")
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true",
                    help="skip the convergence-condition precheck")
     p.set_defaults(func=cmd_solve)
@@ -303,13 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="radius sweep r0:r1:step over fresh layered graphs")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--counts", default="40,40,40")
-    p.add_argument("--solver", choices=["dense", "lowrank"], default="dense")
-    p.add_argument("--ranks", default="10")
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    _add_solver_options(p, ["dense", "lowrank"])
     p.set_defaults(func=cmd_eval_q)
 
     p = sub.add_parser("query", help="top-k most similar entities")

@@ -34,7 +34,8 @@ from .model import (
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite values during iteration, or a violated contraction bound."""
+    """The iteration overflowed or turned NaN: a non-finite summed residual,
+    or a non-finite projected operator in the low-rank solver."""
 
 
 class ConditionError(ValueError):
@@ -95,9 +96,6 @@ class SimilaritySet:
     def copy(self) -> "SimilaritySet":
         return SimilaritySet({k: v.copy() for k, v in self.blocks.items()})
 
-    def allfinite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self.blocks.values())
-
 
 def residual(prev: SimilaritySet, new: SimilaritySet) -> float:
     """Sum over types of the Frobenius norm of the block difference."""
@@ -117,13 +115,14 @@ def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float
     return out
 
 
-def iterate(state, step, residuals, finite, config: SolverConfig):
+def iterate(state, step, residuals, config: SolverConfig):
     """The fixed-point loop every solver runs: ``state = step(state)`` until
     the summed residual drops to ``config.tol`` or ``config.max_iter`` sweeps.
 
     ``residuals(old, new)`` gives the per-type residuals, summed in their
-    order; ``finite(state)`` guards each iterate.  Returns the last iterate
-    and its ``SolveTrace``; raises ``DivergenceError`` on a non-finite one.
+    order.  Returns the last iterate and its ``SolveTrace``; raises
+    ``DivergenceError`` when the summed residual is not finite, which a
+    non-finite iterate after a finite one always makes it.
     """
     trace = SolveTrace()
     for _ in range(config.max_iter):
@@ -135,8 +134,8 @@ def iterate(state, step, residuals, finite, config: SolverConfig):
         trace.residuals.append(res)
         trace.per_type.append(per_type)
         state = new
-        if not finite(state):
-            raise DivergenceError(f"non-finite values at iteration {trace.iterations}")
+        if not np.isfinite(res):
+            raise DivergenceError(f"non-finite residual at iteration {trace.iterations}")
         if res <= config.tol:
             trace.converged = True
             break
@@ -231,10 +230,7 @@ def _solve_coupled(network, weights, config, check, damping=None):
             m[np.diag_indices_from(m)] += 1.0 - damping
         return SimilaritySet(acc)
 
-    return iterate(
-        SimilaritySet.identity(network), step, residual_by_type,
-        SimilaritySet.allfinite, config,
-    )
+    return iterate(SimilaritySet.identity(network), step, residual_by_type, config)
 
 
 def solve_dense(

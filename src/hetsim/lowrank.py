@@ -241,13 +241,19 @@ def _rng_for(seed: int, type_index: int):
     )
 
 
-def _sketches(network: HeteroNetwork, cfg: SvdConfig, plan: dict) -> dict[str, np.ndarray]:
-    """Each related type's Gaussian sketch, if narrower than its block."""
+def _sketches(network: HeteroNetwork, cfg: SvdConfig, plan: dict) -> dict:
+    """Per solve, each related type's ``(rank, oversample, sketch)``, clamped to
+    its block; the Gaussian sketch is None when rank + oversample fill it."""
     out = {}
     for ti, t in enumerate(network.types):
-        width = min(cfg.rank_for(t.name, t.size) + cfg.oversample, t.size)
-        if plan[t.name][1] and width < t.size:
-            out[t.name] = _rng_for(cfg.seed, ti).standard_normal((t.size, width))
+        if not plan[t.name][1]:
+            continue
+        rank = cfg.rank_for(t.name, t.size)
+        oversample = min(cfg.oversample, t.size - rank)
+        sketch = None
+        if rank + oversample < t.size:
+            sketch = _rng_for(cfg.seed, ti).standard_normal((t.size, rank + oversample))
+        out[t.name] = (rank, oversample, sketch)
     return out
 
 
@@ -257,26 +263,24 @@ def sweep_lowrank(
     cfg: SvdConfig,
     plan: dict,
     ops: dict,
-    sketches: dict | None = None,
+    sketches: dict,
 ) -> dict[str, FactoredSimilarity]:
     """One Jacobi sweep in factored form.
 
     Per type: assemble the update operator, less its exact diagonal, against
-    the previous factors and project it to rank a_t.  The identity is
+    the previous factors and project it to its rank.  The identity is
     re-added implicitly by the factored representation.  ``plan`` is
     ``dense.coupling_plan``'s result, ``ops`` that of ``update_constants``
-    and ``sketches`` that of ``_sketches``, drawn here when omitted.
+    and ``sketches`` that of ``_sketches``; a type absent there stays I.
     """
-    sketches = _sketches(network, cfg, plan) if sketches is None else sketches
     new: dict[str, FactoredSimilarity] = {}
     for t in network.types:
-        if not plan[t.name][1]:
+        if t.name not in sketches:
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
+        rank, oversample, sketch = sketches[t.name]
         op = build_update_operator(state, t.name, plan, ops)
-        rank = cfg.rank_for(t.name, t.size)
-        oversample = min(cfg.oversample, t.size - rank)
-        u, d = randomized_eig(op, rank, oversample, cfg.power, sketch=sketches.get(t.name))
+        u, d = randomized_eig(op, rank, oversample, cfg.power, sketch=sketch)
         new[t.name] = FactoredSimilarity(u, d)
     return new
 
@@ -297,8 +301,5 @@ def solve_lowrank(
         {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
         lambda state: sweep_lowrank(network, state, svd, plan, ops, sketches),
         lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
-        lambda state: all(
-            np.isfinite(f.U).all() and np.isfinite(f.d).all() for f in state.values()
-        ),
         config,
     )

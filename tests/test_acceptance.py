@@ -303,21 +303,21 @@ def _assert_same_outputs(a, b):
 
 def test_09_repeated_runs_byte_identical(tmp_path):
     outcomes = []
-    for run, threads in (("one", "1"), ("two", "4")):
+    for run in ("one", "two"):
         base = tmp_path / run
-        _run_cli(["--threads", threads, "synth", "random", "--K", "3", "--N",
+        _run_cli(["synth", "random", "--K", "3", "--N",
                   "25", "--seed", "11", "--out", str(base / "rand")])
-        _run_cli(["--threads", threads, "synth", "layered", "--counts",
+        _run_cli(["synth", "layered", "--counts",
                   "12,12", "--r", "0.3", "--seed", "11", "--out",
                   str(base / "lay")])
-        _run_cli(["--threads", threads, "solve", "--bundle", str(base / "rand"),
+        _run_cli(["solve", "--bundle", str(base / "rand"),
                   "--out", str(base / "dense"), "--tol", "1e-7"])
-        _run_cli(["--threads", threads, "solve", "--bundle", str(base / "rand"),
+        _run_cli(["solve", "--bundle", str(base / "rand"),
                   "--out", str(base / "low"), "--solver", "lowrank", "--ranks",
                   "5", "--seed", "11", "--tol", "1e-6", "--max-iter", "60"])
         outcomes.append(base)
     _assert_same_outputs(*outcomes)
-    report("repeated seeded runs byte-identical across thread counts", True)
+    report("repeated seeded runs byte-identical", True)
 
 
 # -- 10. scale smoke test ---------------------------------------------------

@@ -1,14 +1,20 @@
 """Command-line behavior: subcommands, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, note, settings
+from hypothesis import strategies as st
 
 import hetsim
 from hetsim import dataio
@@ -110,6 +116,21 @@ class TestSolve:
         for t in net.types:
             diff = np.abs(factors[t.name].dense() - dense[t.name]).max()
             assert diff <= 1e-6
+
+    def test_dense_output_identical_across_blas_thread_counts(self, tmp_path, monkeypatch):
+        # README's claim: the dense similarity CSV does not depend on the BLAS
+        # thread count, which only the environment of a fresh process sets.
+        bundle = tmp_path / "bundle"
+        code, _ = run_process(["synth", "random", "--K", "4", "--N", "200", "--seed", "1",
+                               "--out", str(bundle)])
+        assert code == EXIT_OK
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            code, _ = run_process(["solve", "--bundle", str(bundle), "--out",
+                                   str(tmp_path / threads), "--max-iter", "300"])
+            assert code == EXIT_OK
+        one, two = (tmp_path / t / "similarity.csv" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()
 
     def test_lyapunov_no_relation_bundle(self, tmp_path, capsys):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
@@ -320,6 +341,16 @@ class TestEvalQ:
     def test_missing_inputs_is_config_error(self, capsys):
         code, _, _ = run(["eval-q"], capsys)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_sweep_with_fewer_than_one_trial_is_config_error(self, capsys, trials):
+        code, stdout, stderr = run(
+            ["eval-q", "--sweep", "0.3:0.3:0.1", "--counts", "4,4", "--trials", trials],
+            capsys,
+        )
+        assert code == EXIT_CONFIG
+        assert "--trials must be at least 1" in stderr
+        assert "meanQ" not in stdout
 
 
 class TestQueryAndHeatmap:
@@ -624,3 +655,104 @@ class TestCheck:
         assert code == EXIT_CONFIG
         assert "check: FAIL" in stdout
         assert "overweight type: A" in stdout
+
+
+# -- fuzzing: every input gives an exit code ------------------------------
+
+FUZZ_INSERTS = [b'"', b",", b"\r", b"\n", b"\xff", b"-1", b"1e999"]
+FUZZ_MUTATIONS = ["truncate", "delete line", "repeat line", "reverse line", "insert",
+                  "empty", "remove"]
+# Edge values of the flags each command takes; argparse keeps the last one given.
+FUZZ_FLAGS = {
+    "query": [("--k", "0")],
+    "solve": [("--ranks", "0"), ("--tol", "nan"), ("--max-iter", "0"), ("--seed", "-1"),
+              ("--oversample", "-1")],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A K=3, N=6 bundle, its similarity CSV and a rank-2 factor set, and the
+    paths of their files relative to the directory holding all three."""
+    root = tmp_path_factory.mktemp("fuzz")
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=6, seed=3))
+    weights = hetsim.default_weights(net)
+    dataio.save_network(net, root / "bundle")
+    state, _ = hetsim.solve_dense(net, weights)
+    dataio.save_similarity(state, net, root / "similarity.csv")
+    factors, trace = hetsim.solve_lowrank(net, weights, svd=hetsim.SvdConfig(rank=2))
+    dataio.save_factors(factors, net, root / "factors", 0, trace.iterations)
+    return root, sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def _mutate(path, kind, at, text):
+    """Apply one mutation to the file at ``path``; ``at`` picks the byte or line."""
+    if kind == "remove" or not path.exists():
+        path.unlink(missing_ok=True)
+        return
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if kind == "truncate":
+        data = data[: at % (len(data) + 1)]
+    elif kind == "empty":
+        data = b""
+    elif kind == "insert":
+        at %= len(data) + 1
+        data = data[:at] + text + data[at:]
+    elif lines:
+        i = at % len(lines)
+        body = lines[i].rstrip(b"\r\n")
+        if kind == "delete line":
+            del lines[i]
+        elif kind == "repeat line":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = body[::-1] + lines[i][len(body):]
+        data = b"".join(lines)
+    path.write_bytes(data)
+
+
+def _fuzz_argv(root, command, data):
+    bundle, sim, factors = root / "bundle", root / "similarity.csv", root / "factors"
+    if command == "check":
+        return ["check", "--bundle", str(bundle)]
+    if command == "solve":
+        solver = data.draw(st.sampled_from(["dense", "lowrank", "lyapunov"]))
+        return ["solve", "--bundle", str(bundle), "--out", str(root / "out"), "--solver",
+                solver, "--max-iter", str(data.draw(st.integers(1, 5)))]
+    source = data.draw(st.sampled_from(
+        [["--similarity", str(sim)], ["--factors", str(factors), "--bundle", str(bundle)]]
+    ))
+    kind = data.draw(st.sampled_from(["c0", "c2", "x"]))
+    if command == "heatmap":
+        return ["heatmap", *source, "--type", kind, "--out", str(root / "h.svg")]
+    entity = data.draw(st.sampled_from(["c0_0", "c0_5", "c2_3", "?"]))
+    return ["query", *source, "--type", kind, "--id", entity]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
+    pristine, files = fuzz_inputs
+    mutations = data.draw(st.lists(st.tuples(
+        st.sampled_from(files), st.sampled_from(FUZZ_MUTATIONS),
+        st.integers(0, 10**4), st.sampled_from(FUZZ_INSERTS),
+    ), max_size=3))
+    command = data.draw(st.sampled_from(["check", "solve", "query", "heatmap"]))
+    flag = data.draw(st.sampled_from([(), *FUZZ_FLAGS.get(command, [])]))
+    with tempfile.TemporaryDirectory(dir=pristine.parent) as tmp:
+        root = Path(tmp) / "in"
+        shutil.copytree(pristine, root)
+        for name, kind, at, text in mutations:
+            _mutate(root / name, kind, at, text)
+        argv = [*_fuzz_argv(root, command, data), *flag]
+        note(f"argv: {argv}")
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+            assert code == EXIT_CONFIG
+    event(f"{command} exit {code}")
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_NOCONVERGE, EXIT_IO}

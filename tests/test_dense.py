@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hetsim
-from hetsim import model
+from hetsim import dense, model
 from hetsim.dense import ConditionError, classical_simrank, coupling_plan, residual, sweep
 
 from conftest import networks_relations_weights, plan_for, single_type_graph
@@ -369,7 +369,7 @@ class TestSolveDense:
         state, _ = hetsim.solve_dense(
             toy_network, w, hetsim.SolverConfig(max_iter=3), check=False
         )
-        assert state.allfinite()
+        assert all(np.isfinite(b).all() for b in state.blocks.values())
 
 
 class TestSolveLyapunov:
@@ -510,3 +510,24 @@ class TestSolverConfig:
         huge = hetsim.WeightMatrix({k: 1e200 for k in hetsim.default_weights(net).entries})
         with np.errstate(all="ignore"), pytest.raises(hetsim.DivergenceError):
             solve(net, huge, check=False)
+
+    @every_solver
+    def test_divergence_is_read_off_the_first_non_finite_residual(self, solve, monkeypatch):
+        # At weights 1e200 the first iterate is still finite, but its distance
+        # from S = I already overflows: the solve stops at iteration 1.
+        traces = []
+
+        class Recorded(hetsim.SolveTrace):
+            def __init__(self):
+                super().__init__()
+                traces.append(self)
+
+        monkeypatch.setattr(dense, "SolveTrace", Recorded)
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=8, seed=0))
+        huge = hetsim.WeightMatrix({k: 1e200 for k in hetsim.default_weights(net).entries})
+        with np.errstate(all="ignore"), pytest.raises(
+            hetsim.DivergenceError, match=r"^non-finite residual at iteration 1$"
+        ):
+            solve(net, huge, check=False)
+        assert len(traces) == 1 and traces[0].iterations == 1
+        assert not np.isfinite(traces[0].residuals[-1])

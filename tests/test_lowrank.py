@@ -266,9 +266,9 @@ class TestSweepLowrank:
         assert trace.iterations == 4
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         plan = plan_for(net, weights)
-        ops = update_constants(plan)
+        ops, sketches = update_constants(plan), lowrank._sketches(net, svd, plan)
         for _ in range(4):
-            state = sweep_lowrank(net, state, svd, plan, ops)
+            state = sweep_lowrank(net, state, svd, plan, ops, sketches)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
@@ -326,7 +326,9 @@ class TestSweepLowrank:
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state = {"A": FactoredSimilarity.identity(2)}
         plan = plan_for(net, hetsim.default_weights(net))
-        new = sweep_lowrank(net, state, hetsim.SvdConfig(rank=1), plan, update_constants(plan))
+        svd = hetsim.SvdConfig(rank=1)
+        sketches = lowrank._sketches(net, svd, plan)
+        new = sweep_lowrank(net, state, svd, plan, update_constants(plan), sketches)
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
 
@@ -339,11 +341,11 @@ class TestSweepLowrank:
         ranks = {t.name: t.size for t in net.types}
         cfg = hetsim.SvdConfig(rank=ranks, oversample=0, power=2, seed=0)
         plan = plan_for(net, weights)
-        ops = update_constants(plan)
+        ops, sketches = update_constants(plan), lowrank._sketches(net, cfg, plan)
         fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         dstate = hetsim.SimilaritySet.identity(net)
         for _ in range(3):
-            fstate = sweep_lowrank(net, fstate, cfg, plan, ops)
+            fstate = sweep_lowrank(net, fstate, cfg, plan, ops, sketches)
             dstate = hetsim.dense.sweep(net, dstate, plan)
             for t in net.types:
                 diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
