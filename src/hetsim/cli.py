@@ -56,8 +56,14 @@ def _parse_sweep(text: str) -> list[float]:
         r0, r1, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError(f"malformed sweep spec {text!r} (want r0:r1:step)") from None
+    if not np.isfinite([r0, r1, step]).all():
+        raise ConfigError(f"sweep spec {text!r} needs finite r0, r1 and step")
     if step <= 0 or r1 < r0:
         raise ConfigError("sweep spec needs r1 >= r0 and step > 0")
+    # Below the float spacing at the largest magnitude, r + step may round
+    # back to r, and the grid would never end.
+    if step < np.spacing(max(abs(r0), abs(r1))):
+        raise ConfigError(f"sweep step {step:g} is too small to advance from {r0:g} to {r1:g}")
     grid = []
     r = r0
     while r <= r1 + 1e-12:
@@ -86,8 +92,6 @@ def cmd_check(args) -> int:
     if weights is None:
         weights = model.default_weights(network)
     report = model.check_convergence_conditions(network, weights)
-    for rel, direction, col in report.nonstochastic:
-        print(f"non-stochastic column: relation={rel} direction={direction} col={col}")
     for t in report.overweight:
         print(f"overweight type: {t} (sum={report.weight_sums[t]:.6g})")
     for t, bound in sorted(report.lyapunov_bounds.items()):
@@ -146,8 +150,6 @@ def cmd_synth(args) -> int:
               f"{len(network.relations)} relations to {out}")
     else:
         counts = _parse_counts(args.counts)
-        if args.layers is not None and args.layers != len(counts):
-            raise ConfigError("--layers disagrees with --counts")
         spec = synth.LayeredGraphSpec(counts=counts, radius=args.r, seed=args.seed)
         network, points = synth.layered_points_graph(spec)
         dataio.save_network(network, out)
@@ -284,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_synth, mode="random")
     pl = mode.add_parser("layered", help="layered geometric graph with points")
-    pl.add_argument("--layers", type=int, default=None)
     pl.add_argument("--counts", required=True, help="comma-separated points per layer")
     pl.add_argument("--r", type=float, required=True)
     pl.add_argument("--seed", type=int, default=None)

@@ -194,12 +194,11 @@ def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> Similarit
 
 
 def checked_plan(network, weights, check, damping=None) -> dict:
-    """Every solver's opening: each relation's operators built once, the
-    precheck on them, and ``coupling_plan`` from them.  With ``damping`` c the
+    """Every solver's opening: the precheck, then each relation's operators
+    built once and ``coupling_plan`` from them.  With ``damping`` c the
     precheck is the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type."""
-    ops = coupling_operators(network)
     if check:
-        report = check_convergence_conditions(network, weights, ops)
+        report = check_convergence_conditions(network, weights)
         if damping is not None:
             for name, bound in report.lyapunov_bounds.items():
                 if damping * bound > 1.0 + 1e-12:
@@ -209,11 +208,9 @@ def checked_plan(network, weights, check, damping=None) -> dict:
                     )
         elif not report.ok:
             raise ConditionError(
-                "convergence conditions failed: "
-                f"{len(report.nonstochastic)} non-stochastic columns, "
-                f"overweight types {list(report.overweight)}"
+                f"convergence conditions failed: overweight types {list(report.overweight)}"
             )
-    return coupling_plan(network, weights, ops)
+    return coupling_plan(network, weights, coupling_operators(network))
 
 
 def _solve_coupled(network, weights, config, check, damping=None):

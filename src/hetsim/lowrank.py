@@ -82,14 +82,13 @@ def rank_others(scores: np.ndarray, a: int, k: int) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class SvdConfig:
-    """Projection ranks and randomized-decomposition knobs.
+    """Projection rank and randomized-decomposition knobs.
 
-    ``rank`` is either one rank for every type or a per-type-name mapping;
-    the effective rank is clamped to the block size, and the oversampling
-    to whatever room remains.
+    ``rank`` is one integer rank for every type; ``update_plan`` clamps it
+    to each block's size, and the oversampling to whatever room remains.
     """
 
-    rank: int | Mapping[str, int]
+    rank: int
     oversample: int = 10
     power: int = 2
     seed: int = 0
@@ -97,13 +96,8 @@ class SvdConfig:
     def __post_init__(self):
         if self.oversample < 0 or self.power < 0:
             raise ValueError("oversample and power must be nonnegative")
-        ranks = self.rank.values() if isinstance(self.rank, Mapping) else [self.rank]
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be at least 1")
-
-    def rank_for(self, type_name: str, size: int) -> int:
-        r = self.rank[type_name] if isinstance(self.rank, Mapping) else self.rank
-        return min(int(r), size)
+        if not isinstance(self.rank, (int, np.integer)) or self.rank < 1:
+            raise ValueError(f"rank must be one integer of at least 1, got {self.rank!r}")
 
 
 class UpdateOperator:
@@ -115,13 +109,12 @@ class UpdateOperator:
     factors: the sum over incident relations of w W (I + U_p D_p U_p^T) W^T,
     W oriented toward this type, with its exact diagonal removed.  Symmetric
     by construction.  An apply is two sparse products, counted in
-    ``spmv_count``, plus O(n a) dense work.  ``base_diagonal`` is the
-    weight-only part of the diagonal, sum w * rownorm^2(W).
+    ``spmv_count``, plus O(n a) dense work.  ``entry`` is the type's
+    ``update_plan`` entry, with the weight-only diagonal sum w * rownorm^2(W).
     """
 
-    def __init__(self, planned, constants, state: Mapping[str, FactoredSimilarity]):
-        self.stacked, rows = planned
-        self.stacked_t, self.base_diagonal = constants
+    def __init__(self, entry, state: Mapping[str, FactoredSimilarity]):
+        self.stacked, rows, self.stacked_t, self.base_diagonal = entry[:4]
         self.shape = (self.stacked.shape[0],) * 2
         # side: (weight, W, U_p, d_p, start, stop), start:stop its rows of C^T x
         self.sides = [
@@ -152,27 +145,10 @@ class UpdateOperator:
         return diag
 
 
-def update_constants(plan: dict) -> dict:
-    """Per type, what its update operator adds to ``dense.coupling_plan``'s
-    result ``plan``, built once per solve: ``(C^T, diagonal)`` with
-    C^T = [W_1 | ... | W_m]^T as CSR and the weight-only diagonal
-    sum w * rownorm^2(W), the diagonal of B C^T."""
-    out = {}
-    for name, (stacked, rows) in plan.items():
-        c = sp.hstack([oper for _, oper, *_ in rows] or [stacked], format="csr")
-        out[name] = (c.T.tocsr(), np.asarray(stacked.multiply(c).sum(axis=1)).ravel())
-    return out
-
-
-def build_update_operator(
-    state: Mapping[str, FactoredSimilarity], type_name: str, plan: dict, ops: dict
-) -> UpdateOperator:
-    """Attach the partners' current factors to one type's update operator.
-
-    ``plan`` is ``dense.coupling_plan``'s result and ``ops`` that of
-    ``update_constants``.
-    """
-    return UpdateOperator(plan[type_name], ops[type_name], state)
+def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> UpdateOperator:
+    """Attach the partners' current factors to one type's update operator;
+    ``entry`` is the type's entry of ``update_plan``."""
+    return UpdateOperator(entry, state)
 
 
 def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None, sketch=None):
@@ -241,46 +217,49 @@ def _rng_for(seed: int, type_index: int):
     )
 
 
-def _sketches(network: HeteroNetwork, cfg: SvdConfig, plan: dict) -> dict:
-    """Per solve, each related type's ``(rank, oversample, sketch)``, clamped to
-    its block; the Gaussian sketch is None when rank + oversample fill it."""
-    out = {}
+def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
+    """The low-rank solver's one per-solve table, built from
+    ``dense.coupling_plan``'s result ``plan``.  Each type with a weighted
+    relation side gets ``(B, rows, C^T, diagonal, rank, oversample, sketch)``:
+    B and rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the
+    weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
+    rank clamped to the block and the oversampling to the room left, and
+    the Gaussian sketch, None when rank + oversample fill the block."""
+    table = {}
     for ti, t in enumerate(network.types):
-        if not plan[t.name][1]:
+        stacked, rows = plan[t.name]
+        if not rows:
             continue
-        rank = cfg.rank_for(t.name, t.size)
-        oversample = min(cfg.oversample, t.size - rank)
+        c = sp.hstack([oper for _, oper, *_ in rows], format="csr")
+        rank = min(int(svd.rank), t.size)
+        oversample = min(svd.oversample, t.size - rank)
         sketch = None
         if rank + oversample < t.size:
-            sketch = _rng_for(cfg.seed, ti).standard_normal((t.size, rank + oversample))
-        out[t.name] = (rank, oversample, sketch)
-    return out
+            sketch = _rng_for(svd.seed, ti).standard_normal((t.size, rank + oversample))
+        diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
+        table[t.name] = (stacked, rows, c.T.tocsr(), diagonal, rank, oversample, sketch)
+    return table
 
 
 def sweep_lowrank(
-    network: HeteroNetwork,
-    state: Mapping[str, FactoredSimilarity],
-    cfg: SvdConfig,
-    plan: dict,
-    ops: dict,
-    sketches: dict,
+    network: HeteroNetwork, state: Mapping[str, FactoredSimilarity], table: dict, power: int
 ) -> dict[str, FactoredSimilarity]:
     """One Jacobi sweep in factored form.
 
     Per type: assemble the update operator, less its exact diagonal, against
-    the previous factors and project it to its rank.  The identity is
-    re-added implicitly by the factored representation.  ``plan`` is
-    ``dense.coupling_plan``'s result, ``ops`` that of ``update_constants``
-    and ``sketches`` that of ``_sketches``; a type absent there stays I.
+    the previous factors and project it to its rank with ``power`` passes.
+    The identity is re-added implicitly by the factored representation.
+    ``table`` is ``update_plan``'s result; a type absent there stays I.
     """
     new: dict[str, FactoredSimilarity] = {}
     for t in network.types:
-        if t.name not in sketches:
+        if t.name not in table:
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
-        rank, oversample, sketch = sketches[t.name]
-        op = build_update_operator(state, t.name, plan, ops)
-        u, d = randomized_eig(op, rank, oversample, cfg.power, sketch=sketch)
+        entry = table[t.name]
+        rank, oversample, sketch = entry[4:]
+        op = build_update_operator(state, entry)
+        u, d = randomized_eig(op, rank, oversample, power, sketch=sketch)
         new[t.name] = FactoredSimilarity(u, d)
     return new
 
@@ -295,11 +274,10 @@ def solve_lowrank(
     """Iterate factored sweeps from S = I; residuals stay in factored form."""
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
-    plan = checked_plan(network, weights, check)
-    ops, sketches = update_constants(plan), _sketches(network, svd, plan)
+    table = update_plan(network, checked_plan(network, weights, check), svd)
     return iterate(
         {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
-        lambda state: sweep_lowrank(network, state, svd, plan, ops, sketches),
+        lambda state: sweep_lowrank(network, state, table, svd.power),
         lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
         config,
     )

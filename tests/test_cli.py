@@ -243,7 +243,7 @@ class TestSynth:
 
     def test_layered_bundle_with_points(self, tmp_path, capsys):
         code, _, _ = run(
-            ["synth", "layered", "--layers", "3", "--counts", "10,10,10",
+            ["synth", "layered", "--counts", "10,10,10",
              "--r", "0.3", "--seed", "2", "--out", str(tmp_path / "lay")],
             capsys,
         )
@@ -263,14 +263,6 @@ class TestSynth:
             if code == EXIT_CONFIG:
                 assert "distinct edges" in stderr
                 break
-        assert code == EXIT_CONFIG
-
-    def test_layers_counts_disagreement_rejected(self, tmp_path, capsys):
-        code, _, _ = run(
-            ["synth", "layered", "--layers", "2", "--counts", "5,5,5",
-             "--r", "0.2", "--out", str(tmp_path / "x")],
-            capsys,
-        )
         assert code == EXIT_CONFIG
 
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
@@ -350,6 +342,17 @@ class TestEvalQ:
         )
         assert code == EXIT_CONFIG
         assert "--trials must be at least 1" in stderr
+        assert "meanQ" not in stdout
+
+    @pytest.mark.parametrize("spec", ["1:2:1e-17", "0:inf:1"])
+    def test_sweep_grid_that_never_ends_is_config_error(self, capsys, spec):
+        # 1.0 + 1e-17 == 1.0, and no finite step reaches inf: either grid
+        # would grow until memory ran out.
+        code, stdout, stderr = run(
+            ["eval-q", "--sweep", spec, "--counts", "4,4", "--trials", "1"], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert "sweep" in stderr
         assert "meanQ" not in stdout
 
 
@@ -655,6 +658,25 @@ class TestCheck:
         assert code == EXIT_CONFIG
         assert "check: FAIL" in stdout
         assert "overweight type: A" in stdout
+
+    def test_hub_column_passes(self, tmp_path, capsys):
+        # 100 000 edges into one entity: its column of the normalized operator
+        # sums to 1 + 1.9e-12 in floating point, yet is stochastic by
+        # construction, so neither the check nor a solve's precheck may fail.
+        n = 100_000
+        a = hetsim.EntityType("A", tuple(f"a{i}" for i in range(n)))
+        b = hetsim.EntityType("B", ("b0",))
+        rel = hetsim.Relation("r", a, b, np.arange(n), np.zeros(n, dtype=np.int64))
+        dataio.save_network(hetsim.HeteroNetwork((a, b), (rel,)), tmp_path / "hub")
+        code, stdout, _ = run(["check", "--bundle", str(tmp_path / "hub")], capsys)
+        assert code == EXIT_OK
+        assert "check: PASS" in stdout
+        code, _, stderr = run(
+            ["solve", "--bundle", str(tmp_path / "hub"), "--out", str(tmp_path / "out"),
+             "--solver", "lowrank", "--ranks", "1", "--max-iter", "2"],
+            capsys,
+        )
+        assert code in (EXIT_OK, EXIT_NOCONVERGE), stderr
 
 
 # -- fuzzing: every input gives an exit code ------------------------------

@@ -16,7 +16,7 @@ from hetsim.lowrank import (
     similarity_query,
     sweep_lowrank,
     top_k,
-    update_constants,
+    update_plan,
 )
 from hetsim.model import coupling_operators
 
@@ -102,14 +102,14 @@ class TestUpdateOperator:
             k = min(4, t.size)
             u, _ = np.linalg.qr(rng.standard_normal((t.size, k)))
             state[t.name] = FactoredSimilarity(u, rng.standard_normal(k))
-        plan = plan_for(net, weights)
-        return net, weights, state, plan, update_constants(plan)
+        table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=4))
+        return net, weights, state, table
 
     def test_self_adjoint_on_random_vectors(self):
-        net, _, state, plan, ops = self._random_setup(0)
+        net, _, state, table = self._random_setup(0)
         rng = np.random.default_rng(42)
         for t in net.types:
-            op = build_update_operator(state, t.name, plan, ops)
+            op = build_update_operator(state, table[t.name])
             n = op.shape[0]
             for _ in range(20):
                 x, y = rng.standard_normal(n), rng.standard_normal(n)
@@ -119,18 +119,18 @@ class TestUpdateOperator:
                 assert abs(lhs - rhs) <= bound
 
     def test_diagonal_matches_dense_materialization(self):
-        net, weights, state, plan, ops = self._random_setup(1)
+        net, weights, state, table = self._random_setup(1)
         for t in net.types:
-            op = build_update_operator(state, t.name, plan, ops)
+            op = build_update_operator(state, table[t.name])
             expected = explicit_update(net, weights, state, t.name)
             off = expected - np.diag(np.diag(expected))
             np.testing.assert_allclose(op.apply(np.eye(t.size)), off, rtol=0, atol=1e-12)
             np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
 
     def test_sparse_product_count_is_two_per_apply(self):
-        net, _, state, plan, ops = self._random_setup(2)
+        net, _, state, table = self._random_setup(2)
         t = net.types[0]
-        op = build_update_operator(state, t.name, plan, ops)
+        op = build_update_operator(state, table[t.name])
         assert len(op.sides) > 1
         op.apply(np.zeros(t.size))
         assert op.spmv_count == 2
@@ -192,15 +192,14 @@ def test_full_width_eig_is_the_exact_top_pairs(case, seed, data):
     the rank: one apply, and nothing drawn."""
     net, state = case
     weights = hetsim.default_weights(net)
-    plan = plan_for(net, weights)
-    ops = update_constants(plan)
+    table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=1))
     rng = np.random.default_rng(seed)
     for t in net.types:
-        if not plan[t.name][1]:
+        if t.name not in table:
             continue
         array = rng.standard_normal((t.size, t.size))
         array += array.T
-        op = build_update_operator(state, t.name, plan, ops)
+        op = build_update_operator(state, table[t.name])
         explicit = explicit_update(net, weights, state, t.name)
         for target, matrix in ((array, array), (op, explicit - np.diag(np.diag(explicit)))):
             rank = data.draw(st.integers(1, t.size))
@@ -218,14 +217,13 @@ def test_narrow_eig_runs_the_range_finder_on_its_sketch():
     """Below full width, down to n - 1, every apply of the range finder
     happens, on the sketch drawn from the generator or on one passed in."""
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=30, seed=5))
-    plan = plan_for(net, hetsim.default_weights(net))
-    ops = update_constants(plan)
+    table = update_plan(net, plan_for(net, hetsim.default_weights(net)), hetsim.SvdConfig(rank=1))
     state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
     power = 2
     for t in net.types:
         for width in (3, t.size - 1):
             rank = 1 + width // 2
-            op = build_update_operator(state, t.name, plan, ops)
+            op = build_update_operator(state, table[t.name])
             rng = np.random.default_rng(11)
             u1, d1 = randomized_eig(op, rank, width - rank, power, rng=rng)
             assert op.spmv_count == 2 * (power + 2)
@@ -243,11 +241,10 @@ def test_solver_operator_is_the_explicit_weighted_sum(case):
     diagonal, and is self-adjoint."""
     net, state = case
     weights = hetsim.default_weights(net)
-    plan = plan_for(net, weights)
-    ops = update_constants(plan)
+    table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=1))
     for t in net.types:
         expected = explicit_update(net, weights, state, t.name)
-        op = build_update_operator(state, t.name, plan, ops)
+        op = build_update_operator(state, table[t.name])
         full = op.apply(np.eye(t.size))
         off = expected - np.diag(np.diag(expected))
         np.testing.assert_allclose(full, off, rtol=0, atol=1e-12)
@@ -265,18 +262,17 @@ class TestSweepLowrank:
         )
         assert trace.iterations == 4
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
-        plan = plan_for(net, weights)
-        ops, sketches = update_constants(plan), lowrank._sketches(net, svd, plan)
+        table = update_plan(net, plan_for(net, weights), svd)
         for _ in range(4):
-            state = sweep_lowrank(net, state, svd, plan, ops, sketches)
+            state = sweep_lowrank(net, state, table, svd.power)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
 
     def test_each_sketch_drawn_once_per_solve(self, monkeypatch):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=30, seed=2))
-        full = net.types[0]  # rank = size: decomposed exactly, nothing drawn
-        svd = hetsim.SvdConfig(rank={**{t.name: 4 for t in net.types}, full.name: full.size})
+        full = min(net.types, key=lambda t: t.size)  # rank = size: exact, nothing drawn
+        svd = hetsim.SvdConfig(rank=full.size, oversample=0)
         draws = []
         original = lowrank._rng_for
 
@@ -295,7 +291,7 @@ class TestSweepLowrank:
             net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-300, max_iter=6), svd
         )
         assert trace.iterations == 6
-        assert sorted(draws) == list(range(1, len(net.types)))
+        assert sorted(draws) == [i for i, t in enumerate(net.types) if t is not full]
 
     def test_solve_matches_a_fresh_stream_every_sweep(self):
         # Drawing once per solve is an optimization only: each sweep still
@@ -303,18 +299,18 @@ class TestSweepLowrank:
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=40, seed=6))
         weights = hetsim.default_weights(net)
         svd = hetsim.SvdConfig(rank=4, oversample=5, power=1, seed=3)
-        assert all(svd.rank_for(t.name, t.size) + svd.oversample < t.size for t in net.types)
+        assert all(svd.rank + svd.oversample < t.size for t in net.types)
         solved, _ = hetsim.solve_lowrank(
             net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=5), svd
         )
         plan = plan_for(net, weights)
-        ops = update_constants(plan)
+        table = update_plan(net, plan, svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         for _ in range(5):
             new = {}
             for i, t in enumerate(net.types):
                 assert plan[t.name][1]
-                op = build_update_operator(state, t.name, plan, ops)
+                op = build_update_operator(state, table[t.name])
                 u, d = randomized_eig(op, 4, 5, 1, lowrank._rng_for(3, i))
                 new[t.name] = FactoredSimilarity(u, d)
             state = new
@@ -325,10 +321,9 @@ class TestSweepLowrank:
     def test_no_relations_keeps_identity(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state = {"A": FactoredSimilarity.identity(2)}
-        plan = plan_for(net, hetsim.default_weights(net))
         svd = hetsim.SvdConfig(rank=1)
-        sketches = lowrank._sketches(net, svd, plan)
-        new = sweep_lowrank(net, state, svd, plan, update_constants(plan), sketches)
+        table = update_plan(net, plan_for(net, hetsim.default_weights(net)), svd)
+        new = sweep_lowrank(net, state, table, svd.power)
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
 
@@ -338,14 +333,14 @@ class TestSweepLowrank:
         # Non-uniform weights catch a weight applied on the wrong side of
         # B M C^T, which uniform ones would hide.
         net, weights = case
-        ranks = {t.name: t.size for t in net.types}
-        cfg = hetsim.SvdConfig(rank=ranks, oversample=0, power=2, seed=0)
+        rank = max(t.size for t in net.types)
+        cfg = hetsim.SvdConfig(rank=rank, oversample=0, power=2, seed=0)
         plan = plan_for(net, weights)
-        ops, sketches = update_constants(plan), lowrank._sketches(net, cfg, plan)
+        table = update_plan(net, plan, cfg)
         fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         dstate = hetsim.SimilaritySet.identity(net)
         for _ in range(3):
-            fstate = sweep_lowrank(net, fstate, cfg, plan, ops, sketches)
+            fstate = sweep_lowrank(net, fstate, table, cfg.power)
             dstate = hetsim.dense.sweep(net, dstate, plan)
             for t in net.types:
                 diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
@@ -374,12 +369,12 @@ class TestSolveLowrank:
             dstate, _ = hetsim.solve_dense(
                 net, weights, hetsim.SolverConfig(tol=1e-11, max_iter=300)
             )
-            ranks = {t.name: t.size for t in net.types}
+            rank = max(t.size for t in net.types)
             fstate, _ = hetsim.solve_lowrank(
                 net,
                 weights,
                 hetsim.SolverConfig(tol=1e-11, max_iter=300),
-                hetsim.SvdConfig(rank=ranks, oversample=0, power=2, seed=0),
+                hetsim.SvdConfig(rank=rank, oversample=0, power=2, seed=0),
             )
             for t in net.types:
                 diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
@@ -485,8 +480,21 @@ class TestSvdConfig:
         with pytest.raises(ValueError):
             hetsim.SvdConfig(rank={"A": 0})
 
+    def test_rank_is_one_integer(self):
+        # Rejected here, not later in a solve: a per-type mapping lacking a
+        # type would raise a bare KeyError there.
+        for rank in ({"A": 3}, 1.5, "3"):
+            with pytest.raises(ValueError, match="rank must be one integer"):
+                hetsim.SvdConfig(rank=rank)
+        assert hetsim.SvdConfig(rank=np.int64(3)).rank == 3
+
     def test_rank_clamped_to_size(self):
-        cfg = hetsim.SvdConfig(rank=50)
-        assert cfg.rank_for("A", 10) == 10
-        cfg = hetsim.SvdConfig(rank={"A": 3})
-        assert cfg.rank_for("A", 10) == 3
+        net = hetsim.build_network(
+            [("A", [f"a{i}" for i in range(10)]), ("B", ["b0", "b1"])],
+            [("r", "A", "B", [(f"a{i}", f"b{i % 2}") for i in range(10)])],
+        )
+        plan = plan_for(net, hetsim.default_weights(net))
+        table = update_plan(net, plan, hetsim.SvdConfig(rank=50, oversample=3))
+        assert [table[name][4:6] for name in "AB"] == [(10, 0), (2, 0)]
+        table = update_plan(net, plan, hetsim.SvdConfig(rank=3, oversample=10))
+        assert [table[name][4:6] for name in "AB"] == [(3, 7), (2, 0)]
