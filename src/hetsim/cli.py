@@ -23,6 +23,10 @@ EXIT_CONFIG = 2
 EXIT_NOCONVERGE = 3
 EXIT_IO = 4
 
+# The most radii one eval-q sweep may ask for: the grid is built before the
+# first solve.
+MAX_SWEEP_POINTS = 10_000
+
 
 class ConfigError(ValueError):
     pass
@@ -52,6 +56,7 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """The radii r0 + i·step up to r1, each rounded to 12 significant digits."""
     try:
         r0, r1, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -60,16 +65,13 @@ def _parse_sweep(text: str) -> list[float]:
         raise ConfigError(f"sweep spec {text!r} needs finite r0, r1 and step")
     if step <= 0 or r1 < r0:
         raise ConfigError("sweep spec needs r1 >= r0 and step > 0")
-    # Below the float spacing at the largest magnitude, r + step may round
-    # back to r, and the grid would never end.
-    if step < np.spacing(max(abs(r0), abs(r1))):
-        raise ConfigError(f"sweep step {step:g} is too small to advance from {r0:g} to {r1:g}")
-    grid = []
-    r = r0
-    while r <= r1 + 1e-12:
-        grid.append(round(r, 12))
-        r += step
-    return grid
+    # Counted before any point is built; a billionth of a step keeps r1 in.
+    steps = (r1 - r0) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep spec {text!r} gives {steps + 1:.6g} radii, more than {MAX_SWEEP_POINTS}"
+        )
+    return [min(float("%.12g" % (r0 + i * step)), r1) for i in range(int(steps) + 1)]
 
 
 def _svd_config(network: model.HeteroNetwork, args, seed: int) -> lowrank.SvdConfig:
@@ -204,12 +206,11 @@ def cmd_eval_q(args) -> int:
 
 def cmd_query(args) -> int:
     if args.factors:
-        states = dataio.load_factors(args.factors)
         # Entity ids live in the bundle; the factors container stores indices.
         if not args.bundle:
             raise ConfigError("--factors queries need --bundle for entity ids")
-        network, _ = dataio.load_network(args.bundle)
-        t = network.type(args.type)
+        states = dataio.load_factors(args.factors, only=args.type)
+        t = dataio.load_entity_type(args.bundle, args.type)
         ids, index = t.ids, t.index
         if args.id not in index:
             raise ConfigError(f"unknown entity id {args.id!r} in type {args.type!r}")
@@ -235,7 +236,7 @@ def cmd_heatmap(args) -> int:
     if args.similarity:
         _, block = dataio.read_similarity_block(args.similarity, args.type)
     elif args.factors:
-        states = dataio.load_factors(args.factors)
+        states = dataio.load_factors(args.factors, only=args.type)
         if args.type not in states:
             raise ConfigError(f"no factors for type {args.type!r}")
         block = states[args.type].dense()

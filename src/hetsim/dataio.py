@@ -274,34 +274,53 @@ def _relation(name: str, src: EntityType, dst: EntityType, path: Path) -> Relati
         return Relation(name, src, dst, positions(a, src.index), positions(b, dst.index))
 
 
+def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None]:
+    """schema.json's entries, each checked for its keys and their JSON types:
+    entity files by type name, relations as [name, src, dst, edges_csv] and
+    weights as [type, relation, weight] (None without a weights section).
+    Names are checked distinct and each relation's types declared."""
+    path = bundle / SCHEMA_NAME
+    schema = _read_json(path)
+    # A schema without types or relations has none.
+    type_entries, relation_entries = _fields(
+        {"types": [], "relations": [], **schema}, path, "types", "relations"
+    )
+    types = [_fields(t, path, "name", "entities_csv") for t in type_entries]
+    relations = [_fields(r, path, "name", "src", "dst", "edges_csv") for r in relation_entries]
+    for kind, entries in (("type", types), ("relation", relations)):
+        if len({e[0] for e in entries}) != len(entries):
+            raise BundleError(f"{path}: duplicate {kind} names")
+    type_files = dict(types)
+    for name, src, dst, _ in relations:
+        if src not in type_files or dst not in type_files:
+            raise BundleError(f"{path}: relation {name!r} references unknown type")
+    if "weights" not in schema:
+        return type_files, relations, None
+    weights = [_fields(e, path, "type", "relation", "weight")
+               for e in _fields(schema, path, "weights")[0]]
+    return type_files, relations, weights
+
+
 def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     """Load a bundle; index order is file row order, so loading is order-stable."""
     bundle = Path(bundle_dir)
-    schema_path = bundle / SCHEMA_NAME
-    schema = _read_json(schema_path)
-    # A schema without types or relations has none.
-    type_entries, relation_entries = _fields(
-        {"types": [], "relations": [], **schema}, schema_path, "types", "relations"
-    )
-    types = [_entity_type(bundle, *_fields(t, schema_path, "name", "entities_csv"))
-             for t in type_entries]
-    by_name = {t.name: t for t in types}
-    relations = []
-    for rspec in relation_entries:
-        keys = ("name", "src", "dst", "edges_csv")
-        name, src, dst, edges_csv = _fields(rspec, schema_path, *keys)
-        if src not in by_name or dst not in by_name:
-            raise BundleError(f"{schema_path}: relation {name!r} references unknown type")
-        relations.append(_relation(name, by_name[src], by_name[dst], bundle / edges_csv))
-    try:
-        network = HeteroNetwork(tuple(types), tuple(relations))
-    except NetworkError as exc:  # a repeated type or relation name
-        raise BundleError(f"{schema_path}: {exc}") from None
-    if "weights" not in schema:
+    type_files, relation_entries, weight_entries = _schema(bundle)
+    types = {name: _entity_type(bundle, name, f) for name, f in type_files.items()}
+    relations = tuple(_relation(name, types[src], types[dst], bundle / edges_csv)
+                      for name, src, dst, edges_csv in relation_entries)
+    network = HeteroNetwork(tuple(types.values()), relations)
+    if weight_entries is None:
         return network, None
-    entries = [_fields(e, schema_path, "type", "relation", "weight")
-               for e in _fields(schema, schema_path, "weights")[0]]
-    return network, WeightMatrix({(t, r): float(w) for t, r, w in entries})
+    return network, WeightMatrix({(t, r): float(w) for t, r, w in weight_entries})
+
+
+def load_entity_type(bundle_dir, name: str) -> EntityType:
+    """One type of a bundle, from its whole checked schema and its entity file alone."""
+    bundle = Path(bundle_dir)
+    type_files = _schema(bundle)[0]
+    if name not in type_files:
+        raise NetworkError(f"unknown type {name!r}")
+    return _entity_type(bundle, name, type_files[name])
 
 
 def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
@@ -442,7 +461,9 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
     return out
 
 
-def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
+def load_factors(in_dir, only: str | None = None) -> dict[str, FactoredSimilarity]:
+    """Factors by type name.  With ``only``, every manifest entry is checked but
+    only that type's files are read, and the result holds that type if listed."""
     base = Path(in_dir)
     manifest_path = base / FACTORS_NAME
     manifest = _read_json(manifest_path)
@@ -450,6 +471,8 @@ def load_factors(in_dir) -> dict[str, FactoredSimilarity]:
     fields = ("name", "n", "rank", "u_csv", "d_csv")
     for tspec in _fields(manifest, manifest_path, "types")[0]:
         name, n, rank, u_csv, d_csv = _fields(tspec, manifest_path, *fields)
+        if only is not None and name != only:
+            continue
         u = _read_factor(base / u_csv, ["row", "col", "value"], (n, rank))
         d = _read_factor(base / d_csv, ["k", "value"], (rank,))
         states[name] = FactoredSimilarity(u, d)

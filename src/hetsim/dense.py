@@ -93,9 +93,6 @@ class SimilaritySet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.blocks[name]
 
-    def copy(self) -> "SimilaritySet":
-        return SimilaritySet({k: v.copy() for k, v in self.blocks.items()})
-
 
 def residual(prev: SimilaritySet, new: SimilaritySet) -> float:
     """Sum over types of the Frobenius norm of the block difference."""

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import hetsim
 from hetsim import dataio
-from hetsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, main
+from hetsim.cli import (
+    EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, MAX_SWEEP_POINTS, _parse_sweep, main,
+)
 from hetsim.lowrank import FactoredSimilarity
 
 
@@ -355,6 +357,26 @@ class TestEvalQ:
         assert "sweep" in stderr
         assert "meanQ" not in stdout
 
+    def test_readme_sweep_grid(self):
+        # The grid README's eval-q example runs, as the accumulating parser built it.
+        assert _parse_sweep("0.05:0.5:0.05") == [
+            0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+
+    def test_sweep_with_a_tiny_step_gives_distinct_radii_up_to_r1(self):
+        grid = _parse_sweep("0:1e-11:1e-13")
+        assert len(grid) == len(set(grid)) == 101
+        assert grid == sorted(grid) and grid[-1] == 1e-11
+
+    def test_sweep_grid_beyond_the_limit_is_config_error(self, capsys):
+        # 10^9 + 1 radii: rejected before any is built.
+        code, stdout, stderr = run(
+            ["eval-q", "--sweep", "0:1:1e-9", "--counts", "4,4", "--trials", "1"], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert f"more than {MAX_SWEEP_POINTS}" in stderr
+        assert "meanQ" not in stdout
+        assert len(_parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+
 
 class TestQueryAndHeatmap:
     def _solved_toy(self, tmp_path, capsys):
@@ -465,6 +487,96 @@ class TestQueryAndHeatmap:
         )
         assert code == EXIT_IO
         assert "do not fit the bundle" in stderr
+
+
+def _append_line(path, line):
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[:-1]),
+                    encoding="utf-8")
+
+
+class TestFactorScope:
+    """``query`` and ``heatmap --factors --type c0`` read the factor manifest,
+    c0's U and D files, and (for ``query``) schema.json and c0's entity file:
+    a fault anywhere else goes unseen, a fault in those files still exits 4."""
+
+    def _solved(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=6, seed=3))
+        dataio.save_network(net, bundle)
+        code, _, _ = run(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+                          "--solver", "lowrank", "--ranks", "2", "--seed", "0"], capsys)
+        assert code in (EXIT_OK, EXIT_NOCONVERGE)
+        return bundle, tmp_path / "o" / "factors"
+
+    def _outputs(self, bundle, factors, svg, capsys):
+        """The query's exit code and printed rows, the heatmap's exit code and SVG bytes."""
+        q_code, q_out, _ = run(["query", "--factors", str(factors), "--bundle", str(bundle),
+                                "--type", "c0", "--id", "c0_1", "--k", "4"], capsys)
+        h_code, _, _ = run(["heatmap", "--factors", str(factors), "--type", "c0",
+                            "--out", str(svg)], capsys)
+        return q_code, q_out.splitlines()[1:], h_code, svg.read_bytes() if h_code == 0 else None
+
+    @pytest.mark.parametrize("fault", ["truncated U_c1.csv", "repeated edge", "repeated c1 id"])
+    def test_a_fault_in_another_type_goes_unseen(self, tmp_path, capsys, fault):
+        bundle, factors = self._solved(tmp_path, capsys)
+        want = self._outputs(bundle, factors, tmp_path / "want.svg", capsys)
+        assert want[0] == want[2] == EXIT_OK and len(want[1]) == 4
+        if fault == "truncated U_c1.csv":
+            _drop_last_line(factors / "U_c1.csv")
+        elif fault == "repeated edge":
+            edges = bundle / "edges_r_c1_c2.csv"
+            _append_line(edges, edges.read_text(encoding="utf-8").splitlines()[1])
+        else:
+            _append_line(bundle / "entities_c1.csv", "c1_0")
+        with pytest.raises(dataio.BundleError):  # the whole readers see the fault
+            if fault.startswith("truncated"):
+                dataio.load_factors(factors)
+            else:
+                dataio.load_network(bundle)
+        assert self._outputs(bundle, factors, tmp_path / "got.svg", capsys) == want
+
+    @pytest.mark.parametrize("fault,message", [
+        ("missing U_c0.csv row", "U_c0.csv: no row for 1 of 12 entries"),
+        ("repeated c0 id", "entities_c0.csv:8: duplicate id 'c0_0'"),
+        ("repeated type name", "schema.json: duplicate type names"),
+    ])
+    def test_a_fault_in_the_asked_type_is_io_error(self, tmp_path, capsys, fault, message):
+        bundle, factors = self._solved(tmp_path, capsys)
+        if fault == "missing U_c0.csv row":
+            _drop_last_line(factors / "U_c0.csv")
+        elif fault == "repeated c0 id":
+            _append_line(bundle / "entities_c0.csv", "c0_0")
+        else:
+            schema = json.loads((bundle / "schema.json").read_text())
+            schema["types"].append(schema["types"][2])
+            (bundle / "schema.json").write_text(json.dumps(schema))
+        code, _, stderr = run(["query", "--factors", str(factors), "--bundle", str(bundle),
+                               "--type", "c0", "--id", "c0_1"], capsys)
+        assert code == EXIT_IO
+        assert message in stderr
+        heatmap = self._outputs(bundle, factors, tmp_path / "h.svg", capsys)[2]
+        assert heatmap == (EXIT_IO if fault.startswith("missing") else EXIT_OK)
+
+    def test_unknown_type_is_config_error(self, tmp_path, capsys):
+        bundle, factors = self._solved(tmp_path, capsys)
+        code, _, stderr = run(["query", "--factors", str(factors), "--bundle", str(bundle),
+                               "--type", "x", "--id", "c0_1"], capsys)
+        assert code == EXIT_CONFIG
+        assert "unknown type 'x'" in stderr
+        code, _, stderr = run(["heatmap", "--factors", str(factors), "--type", "x",
+                               "--out", str(tmp_path / "x.svg")], capsys)
+        assert code == EXIT_CONFIG
+        assert "no factors for type 'x'" in stderr
+
+    def test_missing_bundle_is_config_error_before_any_factor_is_read(self, tmp_path, capsys):
+        code, _, stderr = run(["query", "--factors", str(tmp_path / "nowhere"),
+                               "--type", "c0", "--id", "c0_1"], capsys)
+        assert code == EXIT_CONFIG
+        assert "need --bundle" in stderr
 
 
 class TestMissingKeys:

@@ -296,6 +296,38 @@ class TestGoldenBytes:
         assert weights.entries == hetsim.default_weights(net).entries
 
 
+class TestOneTypeReads:
+    """The one-type readers return what the whole readers return for that type."""
+
+    def _solved(self, tmp_path):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=6, seed=3))
+        dataio.save_network(net, tmp_path / "bundle")
+        svd = hetsim.SvdConfig(rank=2)
+        factors, trace = hetsim.solve_lowrank(net, hetsim.default_weights(net), svd=svd)
+        dataio.save_factors(factors, net, tmp_path / "factors", 0, trace.iterations)
+        return tmp_path / "bundle", tmp_path / "factors"
+
+    @pytest.mark.parametrize("source", ["golden", "solved"])
+    def test_one_type_reads_match_the_whole_reads(self, tmp_path, source):
+        if source == "golden":
+            bundle, factors = GOLDEN / "bundle", GOLDEN / "factors"
+        else:
+            bundle, factors = self._solved(tmp_path)
+        network = dataio.load_network(bundle)[0]
+        whole = dataio.load_factors(factors)
+        assert list(whole) == [t.name for t in network.types]
+        for t in network.types:
+            one = dataio.load_factors(factors, only=t.name)
+            assert list(one) == [t.name]
+            for got, want in ((one[t.name].U, whole[t.name].U), (one[t.name].d, whole[t.name].d)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got = dataio.load_entity_type(bundle, t.name)
+            assert (got.name, got.ids, got.index) == (t.name, t.ids, t.index)
+        assert dataio.load_factors(factors, only="x") == {}
+        with pytest.raises(hetsim.NetworkError, match="unknown type 'x'"):
+            dataio.load_entity_type(bundle, "x")
+
+
 def heatmap_loop(matrix, cell=8) -> str:
     """The per-cell renderer that export_heatmap replaced, kept as its oracle."""
     m = np.asarray(matrix, dtype=float)

@@ -463,12 +463,12 @@ class TestClassicalSimrank:
 class TestResidual:
     def test_identical_states_give_zero(self, toy_network):
         s = hetsim.SimilaritySet.identity(toy_network)
-        assert residual(s, s.copy()) == 0.0
+        assert residual(s, hetsim.SimilaritySet({k: v.copy() for k, v in s.blocks.items()})) == 0.0
 
     def test_hand_frobenius_value(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         prev = hetsim.SimilaritySet.identity(net)
-        new = prev.copy()
+        new = hetsim.SimilaritySet({k: v.copy() for k, v in prev.blocks.items()})
         new["A"][0, 1] = new["A"][1, 0] = 0.5
         assert residual(prev, new) == pytest.approx(np.sqrt(0.5))
 
