@@ -113,29 +113,36 @@ def _stalling(per_type: list[dict[str, float]]) -> str:
     return text
 
 
+def _solve(network, weights, args, seed: int, check: bool = True):
+    """``(result, trace)`` of the solver ``--solver`` names: factors by type for
+    lowrank, a ``SimilaritySet`` otherwise.  Only lyapunov reads ``--c``."""
+    config = dense.SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    if args.solver == "lowrank":
+        svd = _svd_config(network, args, seed)
+        return lowrank.solve_lowrank(network, weights, config, svd, check=check)
+    if args.solver == "lyapunov":
+        return dense.solve_lyapunov(network, weights, config, check=check, damping=args.c)
+    return dense.solve_dense(network, weights, config, check=check)
+
+
 def cmd_solve(args) -> int:
     network, weights = dataio.load_network(args.bundle)
     if weights is None:
         weights = model.default_weights(network)
-    config = dense.SolverConfig(tol=args.tol, max_iter=args.max_iter, damping=args.c)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    check = not args.force
 
+    result, trace = _solve(network, weights, args, args.seed, check=not args.force)
     if args.solver == "lowrank":
-        svd = _svd_config(network, args, args.seed)
-        states, trace = lowrank.solve_lowrank(network, weights, config, svd, check=check)
-        dataio.save_factors(states, network, out / "factors", args.seed, trace.iterations)
+        dataio.save_factors(result, network, out / "factors", args.seed, trace.iterations)
     else:
-        solve = dense.solve_dense if args.solver == "dense" else dense.solve_lyapunov
-        state, trace = solve(network, weights, config, check=check)
-        dataio.save_similarity(state, network, out / "similarity.csv")
+        dataio.save_similarity(result, network, out / "similarity.csv")
 
     trace.write_csv(out / "trace.csv")
     for i, r in enumerate(trace.residuals, start=1):
         print(f"iteration {i}: residual={r:.6g}")
     if not trace.converged:
-        print(f"did not converge within {config.max_iter} iterations; "
+        print(f"did not converge within {args.max_iter} iterations; "
               f"{_stalling(trace.per_type)}", file=sys.stderr)
         return EXIT_NOCONVERGE
     print(f"converged in {trace.iterations} iterations")
@@ -160,18 +167,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _solve_layer_blocks(network, args, config, seed):
-    weights = model.default_weights(network)
-    if args.solver == "lowrank":
-        svd = _svd_config(network, args, seed)
-        states, trace = lowrank.solve_lowrank(network, weights, config, svd)
-        return {name: f.dense() for name, f in states.items()}, trace.converged
-    state, trace = dense.solve_dense(network, weights, config)
-    return state.blocks, trace.converged
-
-
 def cmd_eval_q(args) -> int:
-    config = dense.SolverConfig(tol=args.tol, max_iter=args.max_iter)
     if args.sweep:
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
@@ -185,9 +181,11 @@ def cmd_eval_q(args) -> int:
                 seed = int(seq.generate_state(1)[0])
                 spec = synth.LayeredGraphSpec(counts=counts, radius=r, seed=seed)
                 network, points = synth.layered_points_graph(spec)
-                blocks, converged = _solve_layer_blocks(network, args, config, seed)
-                unconverged += not converged
-                qs.append(synth.layer_quality(points, blocks)[0])
+                result, trace = _solve(network, model.default_weights(network), args, seed)
+                if args.solver == "lowrank":
+                    result = {name: f.dense() for name, f in result.items()}
+                unconverged += not trace.converged
+                qs.append(synth.layer_quality(points, result)[0])
             print(f"r={r:g} meanQ={np.mean(qs):.6g} trials={len(qs)} "
                   f"unconverged={unconverged}")
         return EXIT_OK

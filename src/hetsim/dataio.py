@@ -204,6 +204,14 @@ def _fields(entry, path: Path, *keys: str) -> list:
     return values
 
 
+def _named(entries: list, path: Path, kind: str, *keys: str) -> list[list]:
+    """``_fields`` of each schema or manifest entry, names (the first key) distinct."""
+    out = [_fields(e, path, *keys) for e in entries]
+    if len({e[0] for e in out}) != len(out):
+        raise BundleError(f"{path}: duplicate {kind} names")
+    return out
+
+
 def save_network(
     network: HeteroNetwork, bundle_dir, weights: WeightMatrix | None = None
 ) -> None:
@@ -285,11 +293,8 @@ def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None
     type_entries, relation_entries = _fields(
         {"types": [], "relations": [], **schema}, path, "types", "relations"
     )
-    types = [_fields(t, path, "name", "entities_csv") for t in type_entries]
-    relations = [_fields(r, path, "name", "src", "dst", "edges_csv") for r in relation_entries]
-    for kind, entries in (("type", types), ("relation", relations)):
-        if len({e[0] for e in entries}) != len(entries):
-            raise BundleError(f"{path}: duplicate {kind} names")
+    types = _named(type_entries, path, "type", "name", "entities_csv")
+    relations = _named(relation_entries, path, "relation", "name", "src", "dst", "edges_csv")
     type_files = dict(types)
     for name, src, dst, _ in relations:
         if src not in type_files or dst not in type_files:
@@ -467,10 +472,10 @@ def load_factors(in_dir, only: str | None = None) -> dict[str, FactoredSimilarit
     base = Path(in_dir)
     manifest_path = base / FACTORS_NAME
     manifest = _read_json(manifest_path)
-    states = {}
     fields = ("name", "n", "rank", "u_csv", "d_csv")
-    for tspec in _fields(manifest, manifest_path, "types")[0]:
-        name, n, rank, u_csv, d_csv = _fields(tspec, manifest_path, *fields)
+    types = _fields(manifest, manifest_path, "types")[0]
+    states = {}
+    for name, n, rank, u_csv, d_csv in _named(types, manifest_path, "type", *fields):
         if only is not None and name != only:
             continue
         u = _read_factor(base / u_csv, ["row", "col", "value"], (n, rank))

@@ -44,19 +44,16 @@ class ConditionError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule (summed Frobenius residual) and damping for the Lyapunov map."""
+    """Stopping rule on the summed Frobenius residual, read by ``iterate``."""
 
     tol: float = 1e-9
     max_iter: int = 100
-    damping: float = 0.8
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
 
 
 @dataclass
@@ -242,14 +239,16 @@ def solve_lyapunov(
     weights: WeightMatrix,
     config: SolverConfig | None = None,
     check: bool = True,
+    damping: float = 0.8,
 ) -> tuple[SimilaritySet, SolveTrace]:
-    """Damped variant S = c * coupling(S) + (1 - c) I, no diagonal reset.
+    """Damped variant S = c * coupling(S) + (1 - c) I, c = ``damping`` in (0, 1).
 
-    The diagonal is (1 - c)-regularized and generally differs from 1;
-    inspect ``diag`` of the returned blocks separately if needed.
+    No diagonal reset: the diagonal is (1 - c)-regularized and generally
+    differs from 1; inspect ``diag`` of the returned blocks if needed.
     """
-    config = config or SolverConfig()
-    return _solve_coupled(network, weights, config, check, config.damping)
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must lie in (0, 1)")
+    return _solve_coupled(network, weights, config or SolverConfig(), check, damping)
 
 
 def classical_simrank(relation: Relation, decay: float, iters: int) -> np.ndarray:

@@ -151,32 +151,29 @@ def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> Upd
     return UpdateOperator(entry, state)
 
 
-def randomized_eig(op, rank: int, oversample: int = 10, power: int = 2, rng=None, sketch=None):
-    """Randomized eigendecomposition of a self-adjoint operator.
+def randomized_eig(op, rank: int, sketch, power: int = 2):
+    """Randomized eigendecomposition of a self-adjoint operator on its sketch.
 
     ``op`` is anything with a square ``shape`` and ``op @ block``: an ndarray
-    or an ``UpdateOperator``.  Gaussian ``sketch`` of size rank + oversample
-    (drawn from ``rng`` when omitted), ``power`` extra passes with
-    re-orthonormalization, then an exact eigendecomposition of the projected
-    matrix.  At rank + oversample = n that matrix is ``op`` itself, taken
-    with one apply, and nothing is drawn.  Keeps the ``rank`` eigenpairs
-    largest in magnitude (negative eigenvalues included).  Deterministic
-    given the sketch, or the generator it is drawn from.
+    or an ``UpdateOperator``.  The caller's ``sketch`` (n rows, at least
+    ``rank`` columns) sets the range finder's width: ``op @ sketch`` and
+    ``power`` extra passes, each re-orthonormalized, then an exact
+    eigendecomposition of the projected matrix.  ``sketch=None`` asks for
+    the exact decomposition of ``op`` itself, taken with one apply.  Keeps
+    the ``rank`` eigenpairs largest in magnitude (negative eigenvalues
+    included).  Draws nothing, so it is deterministic given its inputs.
     """
     n = op.shape[0]
     if op.shape != (n, n):
         raise ValueError("operator must be square")
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if rank + oversample > n:
-        raise ValueError(
-            f"rank + oversampling ({rank + oversample}) exceeds dimension ({n})"
-        )
-    if rank + oversample == n:  # the range is the whole space: Q = I
+    if sketch is not None and sketch.shape[0] != n:
+        raise ValueError(f"sketch has {sketch.shape[0]} rows, the operator {n}")
+    width = n if sketch is None else sketch.shape[1]
+    if not 1 <= rank <= width <= n:
+        raise ValueError(f"need 1 <= rank ({rank}) <= width ({width}) <= n ({n})")
+    if sketch is None:  # the range is the whole space: Q = I
         q, b = None, op @ np.eye(n)
     else:
-        if sketch is None:
-            sketch = np.random.default_rng(rng).standard_normal((n, rank + oversample))
         q, _ = np.linalg.qr(op @ sketch)
         for _ in range(power):
             q, _ = np.linalg.qr(op @ q)
@@ -220,11 +217,11 @@ def _rng_for(seed: int, type_index: int):
 def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     """The low-rank solver's one per-solve table, built from
     ``dense.coupling_plan``'s result ``plan``.  Each type with a weighted
-    relation side gets ``(B, rows, C^T, diagonal, rank, oversample, sketch)``:
-    B and rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the
-    weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
-    rank clamped to the block and the oversampling to the room left, and
-    the Gaussian sketch, None when rank + oversample fill the block."""
+    relation side gets ``(B, rows, C^T, diagonal, rank, sketch)``: B and
+    rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the weight-only
+    diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the rank clamped
+    to the block, and the Gaussian sketch of rank + oversample columns, or
+    None (exact decomposition) when they would fill the block."""
     table = {}
     for ti, t in enumerate(network.types):
         stacked, rows = plan[t.name]
@@ -232,12 +229,12 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
             continue
         c = sp.hstack([oper for _, oper, *_ in rows], format="csr")
         rank = min(int(svd.rank), t.size)
-        oversample = min(svd.oversample, t.size - rank)
+        width = min(rank + svd.oversample, t.size)
         sketch = None
-        if rank + oversample < t.size:
-            sketch = _rng_for(svd.seed, ti).standard_normal((t.size, rank + oversample))
+        if width < t.size:
+            sketch = _rng_for(svd.seed, ti).standard_normal((t.size, width))
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
-        table[t.name] = (stacked, rows, c.T.tocsr(), diagonal, rank, oversample, sketch)
+        table[t.name] = (stacked, rows, c.T.tocsr(), diagonal, rank, sketch)
     return table
 
 
@@ -257,9 +254,9 @@ def sweep_lowrank(
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
         entry = table[t.name]
-        rank, oversample, sketch = entry[4:]
+        rank, sketch = entry[4:]
         op = build_update_operator(state, entry)
-        u, d = randomized_eig(op, rank, oversample, power, sketch=sketch)
+        u, d = randomized_eig(op, rank, sketch, power)
         new[t.name] = FactoredSimilarity(u, d)
     return new
 

@@ -161,7 +161,7 @@ def test_05_randomized_eig_tail_bound():
         lam = lam * rng.choice([-1.0, 1.0], n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         a = (q * lam) @ q.T
-        u, d = randomized_eig(a, rank, oversample=10, power=2, rng=rng)
+        u, d = randomized_eig(a, rank, rng.standard_normal((n, rank + 10)), power=2)
         err = np.linalg.norm(a - (u * d) @ u.T, 2)
         tail = np.sort(np.abs(lam))[::-1][rank]
         if not err <= 2 * tail:
@@ -272,7 +272,8 @@ def test_08_damped_residual_ratio_bounded():
         _, trace = hetsim.solve_lyapunov(
             net,
             hetsim.default_weights(net),
-            hetsim.SolverConfig(tol=1e-11, max_iter=100, damping=0.8),
+            hetsim.SolverConfig(tol=1e-11, max_iter=100),
+            damping=0.8,
         )
         r = np.array(trace.residuals)
         worst = max(worst, float((r[1:] / r[:-1]).max()))

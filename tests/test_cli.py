@@ -146,6 +146,20 @@ class TestSolve:
         state = dataio.load_similarity(tmp_path / "o" / "similarity.csv", net)
         np.testing.assert_allclose(state["A"], 0.2 * np.eye(2))
 
+    @pytest.mark.parametrize("solver, output", [
+        ("dense", "similarity.csv"), ("lowrank", "factors/U_A.csv"),
+    ])
+    def test_c_is_read_by_lyapunov_alone(self, tmp_path, capsys, solver, output):
+        write_toy_bundle(tmp_path / "toy")
+        argv = ["solve", "--bundle", str(tmp_path / "toy"), "--solver", solver]
+        assert run([*argv, "--out", str(tmp_path / "a")], capsys)[0] == EXIT_OK
+        assert run([*argv, "--out", str(tmp_path / "b"), "--c", "1.5"], capsys)[0] == EXIT_OK
+        assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+        code, _, stderr = run(["solve", "--bundle", str(tmp_path / "toy"), "--out",
+                               str(tmp_path / "c"), "--solver", "lyapunov", "--c", "1.5"], capsys)
+        assert code == EXIT_CONFIG
+        assert "damping must lie in (0, 1)" in stderr
+
     def test_nonconvergence_exit_code_with_trace(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         run(["synth", "random", "--K", "3", "--N", "20", "--seed", "1",
@@ -677,6 +691,20 @@ class TestMissingKeys:
         entities.write_text("id\n")
         stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
         assert f"{entities}: type 'B' has no entities" in stderr
+
+    @pytest.mark.parametrize("command", ["query", "heatmap"])
+    def test_repeated_factor_type_name_is_io_error(self, tmp_path, command):
+        factors, path = self._manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["types"].append(manifest["types"][0])
+        path.write_text(json.dumps(manifest))
+        bundle, _ = self._schema(tmp_path)
+        argv = {
+            "query": ["query", "--bundle", str(bundle), "--id", "a1"],
+            "heatmap": ["heatmap", "--out", str(tmp_path / "a.svg")],
+        }[command]
+        stderr = self._exits_with_io_error([*argv, "--factors", str(factors), "--type", "A"])
+        assert f"{path}: duplicate type names" in stderr
 
     @pytest.mark.parametrize("key", ["types", "name", "n", "rank", "u_csv", "d_csv"])
     def test_factor_manifest_without_key_is_io_error(self, tmp_path, key):

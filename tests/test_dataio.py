@@ -145,6 +145,19 @@ class TestFactorsRoundTrip:
         with pytest.raises(BundleError, match="missing file"):
             dataio.load_factors(tmp_path)
 
+    @pytest.mark.parametrize("only", [None, "A", "B"])
+    def test_repeated_type_name_rejected(self, tmp_path, only):
+        # Both entries would be read and the last would win: A would hold B's U.
+        net = hetsim.build_network([("A", ["a1", "a2"]), ("B", ["b1", "b2", "b3"])], [])
+        states = {t.name: FactoredSimilarity(np.ones((t.size, 1)), np.ones(1)) for t in net.types}
+        dataio.save_factors(states, net, tmp_path, seed=0, iterations=1)
+        path = tmp_path / dataio.FACTORS_NAME
+        manifest = json.loads(path.read_text())
+        manifest["types"][1]["name"] = "A"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=f"^{re.escape(str(path))}: duplicate type names$"):
+            dataio.load_factors(tmp_path, only=only)
+
     @pytest.mark.parametrize("name,row", [
         ("U_A.csv", "-1,0,0.5"), ("U_A.csv", "0,-1,0.5"), ("U_A.csv", "2,0,0.5"),
         ("U_A.csv", "0,1,0.5"), ("D_A.csv", "-1,0.5"), ("D_A.csv", "1,0.5"),

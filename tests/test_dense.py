@@ -376,7 +376,7 @@ class TestSolveLyapunov:
     def test_no_relations_fixed_at_first_iterate(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state, trace = hetsim.solve_lyapunov(
-            net, hetsim.default_weights(net), hetsim.SolverConfig(damping=0.8)
+            net, hetsim.default_weights(net), damping=0.8
         )
         assert trace.converged
         np.testing.assert_allclose(state["A"], 0.2 * np.eye(2))
@@ -387,7 +387,8 @@ class TestSolveLyapunov:
         state, trace = hetsim.solve_lyapunov(
             toy_network,
             toy_weights,
-            hetsim.SolverConfig(tol=1e-14, max_iter=500, damping=0.8),
+            hetsim.SolverConfig(tol=1e-14, max_iter=500),
+            damping=0.8,
         )
         assert trace.converged
         assert state["B"][0, 0] == pytest.approx(13 / 9, abs=1e-12)
@@ -402,7 +403,8 @@ class TestSolveLyapunov:
             _, trace = hetsim.solve_lyapunov(
                 net,
                 hetsim.default_weights(net),
-                hetsim.SolverConfig(tol=1e-11, max_iter=100, damping=0.8),
+                hetsim.SolverConfig(tol=1e-11, max_iter=100),
+                damping=0.8,
             )
             r = np.array(trace.residuals)
             ratios = r[1:] / r[:-1]
@@ -486,13 +488,13 @@ class TestResidual:
 
 
 class TestSolverConfig:
-    def test_invalid_values_rejected(self):
+    def test_invalid_values_rejected(self, toy_network, toy_weights):
         with pytest.raises(ValueError):
             hetsim.SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             hetsim.SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            hetsim.SolverConfig(damping=1.0)
+        with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\)"):
+            hetsim.solve_lyapunov(toy_network, toy_weights, damping=1.0)
 
     @every_solver
     def test_trace_lengths_match(self, solve):
