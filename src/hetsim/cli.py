@@ -129,16 +129,14 @@ def cmd_solve(args) -> int:
     network, weights = dataio.load_network(args.bundle)
     if weights is None:
         weights = model.default_weights(network)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     result, trace = _solve(network, weights, args, args.seed, check=not args.force)
+    # The writers create --out, so a solve that fails before here leaves none.
+    out = Path(args.out)
     if args.solver == "lowrank":
         dataio.save_factors(result, network, out / "factors", args.seed, trace.iterations)
     else:
         dataio.save_similarity(result, network, out / "similarity.csv")
-
-    trace.write_csv(out / "trace.csv")
+    dataio.save_trace(trace, out / "trace.csv")
     for i, r in enumerate(trace.residuals, start=1):
         print(f"iteration {i}: residual={r:.6g}")
     if not trace.converged:
@@ -248,11 +246,11 @@ def cmd_heatmap(args) -> int:
 def _add_solver_options(p: argparse.ArgumentParser, solvers: list[str]) -> None:
     """The solver options ``solve`` and ``eval-q`` share, each default once."""
     p.add_argument("--solver", choices=solvers, default="dense")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=float, default=dense.SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=dense.SolverConfig.max_iter)
     p.add_argument("--ranks", default="10", help="per-type rank (integer) or 'full'")
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power", type=int, default=2)
+    p.add_argument("--oversample", type=int, default=lowrank.SvdConfig.oversample)
+    p.add_argument("--power", type=int, default=lowrank.SvdConfig.power)
     p.add_argument("--seed", type=int, default=None)
 
 

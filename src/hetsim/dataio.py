@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dense import SimilaritySet
+from .dense import SimilaritySet, SolveTrace
 from .lowrank import FactoredSimilarity
 from .model import EntityType, HeteroNetwork, NetworkError, Relation, WeightMatrix, positions
 from .synth import PointCloud
@@ -333,6 +333,7 @@ def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
     for name, block in state.blocks.items():
         if not np.isfinite(block).all():
             raise ValueError(f"non-finite similarity values in type {name!r}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_SIM_HEADER) + "\r\n")
         for t in network.types:
@@ -344,6 +345,16 @@ def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
                 ids[rows].tolist(), ids[cols].tolist(),
                 state.blocks[t.name][rows, cols].tolist(),
             ))
+
+
+def save_trace(trace: SolveTrace, path) -> None:
+    """A solve's trace as CSV: iteration, residual and wall seconds per sweep."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("iteration,residual,seconds\r\n" + _csv_text(
+        f"%d,{_FMT},{_FMT}\r\n", list(range(1, trace.iterations + 1)), trace.residuals,
+        trace.seconds,
+    ), "utf-8", newline="")
 
 
 def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:

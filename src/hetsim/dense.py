@@ -15,7 +15,6 @@ variant replaces the diagonal reset with uniform (1 - c) I regularization.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +28,6 @@ from .model import (
     check_convergence_conditions,
     column_stochastic,
     coupling_operators,
-    weighted_sides,
 )
 
 
@@ -68,13 +66,6 @@ class SolveTrace:
     @property
     def iterations(self) -> int:
         return len(self.residuals)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "residual", "seconds"])
-            for i, (r, s) in enumerate(zip(self.residuals, self.seconds), start=1):
-                w.writerow([i, "%.17g" % r, "%.17g" % s])
 
 
 class SimilaritySet:
@@ -136,20 +127,27 @@ def iterate(state, step, residuals, config: SolverConfig):
     return state, trace
 
 
-def coupling_plan(network: HeteroNetwork, weights: WeightMatrix, ops: dict) -> dict:
+def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
     """Per type t, ``(B, rows)``: B = [w_1 W_1 | ... | w_m W_m] (CSR) over t's
-    weighted relation sides, in the order of its incident relations, taken
-    from ``coupling_operators``' result ``ops``, and per side
-    (w_i, W_i, partner, start, stop), with start:stop the side's row block of
-    the buffer that B multiplies.  Both solvers apply their coupling as B
-    times that buffer."""
+    incident relations with nonzero weight, in incidence order, each W the
+    relation's ``coupling_operators`` entry oriented toward t (forward when t
+    is the source, reverse otherwise), and per side (w_i, W_i, partner,
+    start, stop), with start:stop the side's row block of the buffer that B
+    multiplies.  Both solvers apply their coupling as B times that buffer."""
+    ops = coupling_operators(network)
     plan = {}
     for t in network.types:
         rows, start = [], 0
-        for w, oper, partner in weighted_sides(network, weights, ops, t.name):
-            rows.append((w, oper, partner, start, start + oper.shape[1]))
-            start += oper.shape[1]
-        # hstack copies, so scaling B's data by each column's weight leaves ``ops`` as is.
+        for rel in network.incident(t.name):
+            if w := weights.weight(t.name, rel.name):
+                fwd, rev = ops[rel.name]
+                if rel.src.name == t.name:
+                    oper, partner = fwd, rel.dst.name
+                else:
+                    oper, partner = rev, rel.src.name
+                rows.append((w, oper, partner, start, start + oper.shape[1]))
+                start += oper.shape[1]
+        # hstack copies, so scaling B's data by each column's weight leaves the sides' W as is.
         b = sp.hstack([r[1] for r in rows] or [sp.csr_matrix((t.size, 0))], format="csr")
         b.data *= np.repeat([r[0] for r in rows], [r[4] - r[3] for r in rows])[b.indices]
         plan[t.name] = (b, rows)
@@ -188,9 +186,9 @@ def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> Similarit
 
 
 def checked_plan(network, weights, check, damping=None) -> dict:
-    """Every solver's opening: the precheck, then each relation's operators
-    built once and ``coupling_plan`` from them.  With ``damping`` c the
-    precheck is the Lyapunov map's c * sum w ||W||_1^2 <= 1 per type."""
+    """Every solver's opening: the precheck, then ``coupling_plan``.  With
+    ``damping`` c the precheck is the Lyapunov map's c * sum w ||W||_1^2 <= 1
+    per type."""
     if check:
         report = check_convergence_conditions(network, weights)
         if damping is not None:
@@ -204,7 +202,7 @@ def checked_plan(network, weights, check, damping=None) -> dict:
             raise ConditionError(
                 f"convergence conditions failed: overweight types {list(report.overweight)}"
             )
-    return coupling_plan(network, weights, coupling_operators(network))
+    return coupling_plan(network, weights)
 
 
 def _solve_coupled(network, weights, config, check, damping=None):

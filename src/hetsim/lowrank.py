@@ -57,9 +57,7 @@ def similarity_query(state: FactoredSimilarity, a: int, b: int) -> float:
     if not (0 <= a < n and 0 <= b < n):
         raise IndexError(f"entity index out of range for block of size {n}")
     val = 1.0 if a == b else 0.0
-    if state.rank:
-        val += float((state.U[a] * state.d) @ state.U[b])
-    return val
+    return val + float((state.U[a] * state.d) @ state.U[b])
 
 
 def top_k(state: FactoredSimilarity, a: int, k: int) -> list[tuple[int, float]]:
@@ -67,7 +65,7 @@ def top_k(state: FactoredSimilarity, a: int, k: int) -> list[tuple[int, float]]:
     n = state.n
     if not 0 <= a < n:
         raise IndexError(f"entity index out of range for block of size {n}")
-    scores = state.U @ (state.U[a] * state.d) if state.rank else np.zeros(n)
+    scores = state.U @ (state.U[a] * state.d)
     return rank_others(scores, a, k)
 
 

@@ -254,17 +254,6 @@ def coupling_operators(
     }
 
 
-def weighted_sides(network: HeteroNetwork, weights: WeightMatrix, ops, type_name: str) -> list:
-    """(weight, W, partner name) per incident relation with nonzero weight, W
-    the entry of its (forward, reverse) pair in ``ops`` oriented toward the type."""
-    out = []
-    for r in network.incident(type_name):
-        if w := weights.weight(type_name, r.name):
-            fwd, rev = ops[r.name]
-            out.append((w, fwd, r.dst.name) if r.src.name == type_name else (w, rev, r.src.name))
-    return out
-
-
 def check_convergence_conditions(network: HeteroNetwork, weights: WeightMatrix) -> ConditionReport:
     """Check the sufficient conditions for fixed-point convergence.
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hetsim
-from hetsim.dense import coupling_plan
-from hetsim.model import EntityType, HeteroNetwork, NetworkError, Relation, coupling_operators
+from hetsim.model import EntityType, HeteroNetwork, NetworkError, Relation
 
 
 @pytest.fixture
@@ -78,11 +77,6 @@ def outcome(build, *args):
         return build(*args)
     except (ValueError, OSError) as exc:
         return type(exc), str(exc)
-
-
-def plan_for(network, weights):
-    """The per-solve coupling plan that ``sweep`` and ``sweep_lowrank`` take."""
-    return coupling_plan(network, weights, coupling_operators(network))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from scipy import stats
 
 import hetsim
 from hetsim.cli import EXIT_OK, main as cli_main
+from hetsim.dense import coupling_plan
 from hetsim.lowrank import randomized_eig
 from hetsim.synth import (
     LayeredGraphSpec,
@@ -23,7 +24,7 @@ from hetsim.synth import (
     ordering_quality,
 )
 
-from conftest import plan_for, single_type_graph
+from conftest import single_type_graph
 
 
 def report(name, ok):
@@ -93,7 +94,7 @@ def test_02_homogeneous_reduction_matches_oracle():
         w = a / np.maximum(a.sum(axis=0), 1)
         oracle = np.eye(n)
         state = hetsim.SimilaritySet.identity(net)
-        plan = plan_for(net, weights)
+        plan = coupling_plan(net, weights)
         for _ in range(8):
             oracle = w @ oracle @ w.T
             np.fill_diagonal(oracle, 1.0)

@@ -211,6 +211,55 @@ class TestSolve:
             )
         assert code == EXIT_NOCONVERGE
         assert "non-finite" in stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--solver", "lowrank", "--ranks", "0"],
+        ["--tol", "-1"],
+        ["--solver", "lyapunov", "--c", "1.5"],
+    ])
+    def test_config_error_leaves_no_out(self, tmp_path, capsys, flags):
+        write_toy_bundle(tmp_path / "toy")
+        out = tmp_path / "o"
+        code, _, _ = run(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out), *flags],
+                         capsys)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_failed_precheck_leaves_no_out(self, tmp_path, capsys):
+        net = write_toy_bundle(tmp_path / "toy")
+        weights = hetsim.WeightMatrix({("A", "r"): 1.5, ("B", "r"): 1.0})
+        dataio.save_network(net, tmp_path / "toy", weights=weights)
+        out = tmp_path / "o"
+        code, _, stderr = run(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out)],
+                              capsys)
+        assert code == EXIT_CONFIG
+        assert "convergence conditions failed" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver, result", [
+        ("dense", "similarity.csv"), ("lyapunov", "similarity.csv"), ("lowrank", "factors"),
+    ])
+    @pytest.mark.parametrize("max_iter, exit_code", [("100", EXIT_OK), ("1", EXIT_NOCONVERGE)])
+    def test_out_holds_the_result_and_the_trace(self, tmp_path, capsys, solver, result,
+                                                max_iter, exit_code):
+        write_toy_bundle(tmp_path / "toy")
+        out = tmp_path / "o"
+        code, _, _ = run(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out),
+                          "--solver", solver, "--max-iter", max_iter], capsys)
+        assert code == exit_code
+        assert sorted(p.name for p in out.iterdir()) == sorted([result, "trace.csv"])
+
+    @pytest.mark.parametrize("solver", ["dense", "lowrank"])
+    def test_out_that_is_a_file_is_io_error(self, tmp_path, solver):
+        write_toy_bundle(tmp_path / "toy")
+        out = tmp_path / "o"
+        out.write_text("keep", encoding="utf-8")
+        code, stderr = run_process(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out),
+                                    "--solver", solver])
+        assert code == EXIT_IO
+        assert "Traceback" not in stderr and "error:" in stderr
+        assert out.read_text(encoding="utf-8") == "keep"
 
     def test_missing_bundle_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(

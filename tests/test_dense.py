@@ -10,13 +10,13 @@ import hetsim
 from hetsim import dense, model
 from hetsim.dense import ConditionError, classical_simrank, coupling_plan, residual, sweep
 
-from conftest import networks_relations_weights, plan_for, single_type_graph
+from conftest import networks_relations_weights, single_type_graph
 
 
 class TestSweep:
     def test_toy_off_diagonal(self, toy_network, toy_weights):
         state = hetsim.SimilaritySet.identity(toy_network)
-        new = sweep(toy_network, state, plan_for(toy_network, toy_weights))
+        new = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
         # W S_B W^T with W = [0.5; 0.5] puts 0.25 everywhere before the
         # diagonal reset.
         np.testing.assert_allclose(new["A"], [[1.0, 0.25], [0.25, 1.0]])
@@ -25,7 +25,7 @@ class TestSweep:
     def test_no_relations_is_identity_map(self):
         net = hetsim.build_network([("A", ["a1", "a2", "a3"])], [])
         state = hetsim.SimilaritySet.identity(net)
-        new = sweep(net, state, plan_for(net, hetsim.default_weights(net)))
+        new = sweep(net, state, coupling_plan(net, hetsim.default_weights(net)))
         assert np.array_equal(new["A"], np.eye(3))
 
     def test_diagonal_always_one(self):
@@ -38,7 +38,7 @@ class TestSweep:
             m = 0.5 * (m + m.T)
             np.fill_diagonal(m, 1.0)
             blocks[t.name] = m
-        new = sweep(net, hetsim.SimilaritySet(blocks), plan_for(net, weights))
+        new = sweep(net, hetsim.SimilaritySet(blocks), coupling_plan(net, weights))
         for t in net.types:
             np.testing.assert_array_equal(np.diag(new[t.name]), 1.0)
 
@@ -46,7 +46,7 @@ class TestSweep:
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=15, seed=7))
         weights = hetsim.default_weights(net)
         state = hetsim.SimilaritySet.identity(net)
-        plan = plan_for(net, weights)
+        plan = coupling_plan(net, weights)
         for _ in range(5):
             state = sweep(net, state, plan)
         for t in net.types:
@@ -57,7 +57,7 @@ class TestSweep:
     def test_shape_mismatch_rejected(self, toy_network, toy_weights):
         bad = hetsim.SimilaritySet({"A": np.eye(3), "B": np.eye(1)})
         with pytest.raises(ValueError):
-            sweep(toy_network, bad, plan_for(toy_network, toy_weights))
+            sweep(toy_network, bad, coupling_plan(toy_network, toy_weights))
 
 
 def hand_built_network():
@@ -125,7 +125,7 @@ def explicit_sweep(net, weights, state):
 @given(networks_weights_states())
 def test_sweep_is_the_explicit_weighted_sum(case):
     net, weights, state = case
-    new = sweep(net, state, plan_for(net, weights))
+    new = sweep(net, state, coupling_plan(net, weights))
     for name, expected in explicit_sweep(net, weights, state).items():
         np.testing.assert_allclose(new[name], expected, rtol=0, atol=1e-13)
 
@@ -138,7 +138,7 @@ def test_solve_is_chained_sweeps_from_identity():
     )
     assert trace.iterations == 5
     state = hetsim.SimilaritySet.identity(net)
-    plan = plan_for(net, weights)
+    plan = coupling_plan(net, weights)
     for _ in range(5):
         state = sweep(net, state, plan)
     for t in net.types:
@@ -149,12 +149,15 @@ def test_solve_is_chained_sweeps_from_identity():
 @given(networks_relations_weights())
 def test_coupling_plan_stacks_the_weighted_operators(case):
     net, weights = case
-    ops = model.coupling_operators(net)
-    before = {name: [m.data.copy() for m in pair] for name, pair in ops.items()}
-    plan = coupling_plan(net, weights, ops)
+    plan = coupling_plan(net, weights)
     assert not plan[net.types[-1].name][1]  # the type with no weighted side
     for t in net.types:
-        sides = model.weighted_sides(net, weights, ops, t.name)
+        sides = [
+            (weights.weight(t.name, r.name),
+             model.column_stochastic(r, "forward" if r.src.name == t.name else "reverse"),
+             r.dst.name if r.src.name == t.name else r.src.name)
+            for r in net.incident(t.name) if weights.weight(t.name, r.name)
+        ]
         want = sp.hstack([w * m for w, m, _ in sides] or [sp.csr_matrix((t.size, 0))],
                          format="csr")
         stacked, rows = plan[t.name]
@@ -163,9 +166,12 @@ def test_coupling_plan_stacks_the_weighted_operators(case):
         assert np.array_equal(stacked.indices, want.indices)
         assert np.array_equal(stacked.data, want.data)
         assert len(rows) == len(sides)
-        assert all(r[0] == s[0] and r[1] is s[1] for r, s in zip(rows, sides))
-    for name, pair in ops.items():  # the plan scales a copy
-        assert all(np.array_equal(m.data, d) for m, d in zip(pair, before[name]))
+        for (w, oper, partner, start, stop), (want_w, want_m, want_partner) in zip(rows, sides):
+            assert (w, partner, stop - start) == (want_w, want_partner, want_m.shape[1])
+            assert oper.format == "csr" and oper.shape == want_m.shape
+            assert np.array_equal(oper.indptr, want_m.indptr)
+            assert np.array_equal(oper.indices, want_m.indices)
+            assert np.array_equal(oper.data, want_m.data)
 
 
 @st.composite
@@ -299,7 +305,7 @@ class TestSolveDense:
         state, _ = hetsim.solve_dense(
             toy_network, toy_weights, hetsim.SolverConfig(tol=1e-14)
         )
-        again = sweep(toy_network, state, plan_for(toy_network, toy_weights))
+        again = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
         assert residual(state, again) <= 1e-13
 
     def test_permutation_relation_fixes_identity(self):
@@ -355,7 +361,7 @@ class TestSolveDense:
             w = a / np.maximum(a.sum(axis=0), 1)
             oracle = np.eye(n)
             state = hetsim.SimilaritySet.identity(net)
-            plan = plan_for(net, weights)
+            plan = coupling_plan(net, weights)
             for _ in range(8):
                 oracle = w @ oracle @ w.T
                 np.fill_diagonal(oracle, 1.0)

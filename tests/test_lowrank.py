@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hetsim
 from hetsim import lowrank
+from hetsim.dense import coupling_plan
 from hetsim.lowrank import (
     FactoredSimilarity,
     UpdateOperator,
@@ -20,7 +21,7 @@ from hetsim.lowrank import (
 )
 from hetsim.model import coupling_operators
 
-from conftest import networks_relations_weights, plan_for
+from conftest import networks_relations_weights
 
 
 def planted_symmetric(n, eigenvalues, seed):
@@ -115,7 +116,7 @@ class TestUpdateOperator:
             k = min(4, t.size)
             u, _ = np.linalg.qr(rng.standard_normal((t.size, k)))
             state[t.name] = FactoredSimilarity(u, rng.standard_normal(k))
-        table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=4))
+        table = update_plan(net, coupling_plan(net, weights), hetsim.SvdConfig(rank=4))
         return net, weights, state, table
 
     def test_self_adjoint_on_random_vectors(self):
@@ -205,7 +206,7 @@ def test_full_width_eig_is_the_exact_top_pairs(case, seed, data):
     one apply."""
     net, state = case
     weights = hetsim.default_weights(net)
-    table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=1))
+    table = update_plan(net, coupling_plan(net, weights), hetsim.SvdConfig(rank=1))
     rng = np.random.default_rng(seed)
     for t in net.types:
         if t.name not in table:
@@ -228,7 +229,7 @@ def test_narrow_eig_runs_the_range_finder_on_its_sketch():
     """Below full width, down to n - 1, every apply of the range finder
     happens, on the sketch passed in, which sets the width alone."""
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=30, seed=5))
-    table = update_plan(net, plan_for(net, hetsim.default_weights(net)), hetsim.SvdConfig(rank=1))
+    table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), hetsim.SvdConfig(rank=1))
     state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
     power = 2
     for t in net.types:
@@ -255,7 +256,7 @@ def test_solver_operator_is_the_explicit_weighted_sum(case):
     diagonal, and is self-adjoint."""
     net, state = case
     weights = hetsim.default_weights(net)
-    table = update_plan(net, plan_for(net, weights), hetsim.SvdConfig(rank=1))
+    table = update_plan(net, coupling_plan(net, weights), hetsim.SvdConfig(rank=1))
     for t in net.types:
         expected = explicit_update(net, weights, state, t.name)
         op = build_update_operator(state, table[t.name])
@@ -276,7 +277,7 @@ class TestSweepLowrank:
         )
         assert trace.iterations == 4
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
-        table = update_plan(net, plan_for(net, weights), svd)
+        table = update_plan(net, coupling_plan(net, weights), svd)
         for _ in range(4):
             state = sweep_lowrank(net, state, table, svd.power)
         for name, f in solved.items():
@@ -317,7 +318,7 @@ class TestSweepLowrank:
         solved, _ = hetsim.solve_lowrank(
             net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=5), svd
         )
-        plan = plan_for(net, weights)
+        plan = coupling_plan(net, weights)
         table = update_plan(net, plan, svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         for _ in range(5):
@@ -337,7 +338,7 @@ class TestSweepLowrank:
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state = {"A": FactoredSimilarity.identity(2)}
         svd = hetsim.SvdConfig(rank=1)
-        table = update_plan(net, plan_for(net, hetsim.default_weights(net)), svd)
+        table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), svd)
         new = sweep_lowrank(net, state, table, svd.power)
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
@@ -350,7 +351,7 @@ class TestSweepLowrank:
         net, weights = case
         rank = max(t.size for t in net.types)
         cfg = hetsim.SvdConfig(rank=rank, oversample=0, power=2, seed=0)
-        plan = plan_for(net, weights)
+        plan = coupling_plan(net, weights)
         table = update_plan(net, plan, cfg)
         fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         dstate = hetsim.SimilaritySet.identity(net)
@@ -533,7 +534,7 @@ class TestSvdConfig:
             [("A", [f"a{i}" for i in range(10)]), ("B", ["b0", "b1"])],
             [("r", "A", "B", [(f"a{i}", f"b{i % 2}") for i in range(10)])],
         )
-        plan = plan_for(net, hetsim.default_weights(net))
+        plan = coupling_plan(net, hetsim.default_weights(net))
         def ranks_and_widths(svd):
             table = update_plan(net, plan, svd)
             return [(table[name][4], getattr(table[name][5], "shape", None)) for name in "AB"]
