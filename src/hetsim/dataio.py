@@ -7,7 +7,8 @@ Values are written with 17 significant digits so doubles round-trip exactly.
 Every file is written and read in whole-array passes, with the bytes and
 error messages of a row-by-row ``csv`` loop: ids are quoted by the ``csv``
 module, values are formatted with ``%.17g``, and a reader that meets any
-fault replays the file row by row (``_replay``) to name the line.
+fault replays the file row by row (``_replay``) to name the line.  One
+similarity block is read from a plain file without csv (``_plain_lines``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import json
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping
 
@@ -35,6 +36,8 @@ _FMT = "%.17g"
 _SIM_HEADER = ["type", "row_id", "col_id", "value"]
 # CSV records read per pass of the streaming readers: bounds the rows held at once.
 _CHUNK_ROWS = 1 << 11
+# Bytes read per pass of the plain similarity reader (``_plain_lines``).
+_CHUNK_BYTES = 1 << 18
 
 
 class BundleError(ValueError):
@@ -45,6 +48,10 @@ class _Malformed(Exception):
     """A fault met by a vectorized reader; ``_replay`` names its line."""
 
 
+class _NotPlain(Exception):
+    """A similarity CSV that only csv reads exactly (see ``_plain_lines``)."""
+
+
 @contextmanager
 def _csv_body(path: Path, expected_header: list[str]):
     """A csv reader over the rows of ``path`` after its checked header."""
@@ -53,32 +60,28 @@ def _csv_body(path: Path, expected_header: list[str]):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise BundleError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise BundleError(
-                f"{path}:1: expected header {','.join(expected_header)!r}"
-            )
-        yield reader
+            header = next(reader, None)
+            if header is None:
+                raise BundleError(f"{path}: empty file")
+            if header != expected_header:
+                raise BundleError(
+                    f"{path}:1: expected header {','.join(expected_header)!r}"
+                )
+            yield reader
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise BundleError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise BundleError(f"{path}: invalid UTF-8 ({exc.reason})") from None
 
 
-def _row_chunks(path: Path, expected_header: list[str], first: str | None = None):
-    """The non-blank rows after the header, streamed in non-empty lists.
-
-    Only rows whose first field is ``first`` are kept (every row when it is
-    None), but the field count of every row is checked: a wrong one raises
-    ``_Malformed``.
-    """
+def _row_chunks(path: Path, expected_header: list[str]):
+    """The non-blank rows after the header, streamed in non-empty lists; a row
+    with the wrong field count raises ``_Malformed``."""
     width = len(expected_header)
     with _csv_body(path, expected_header) as reader:
         while True:
             start = reader.line_num
-            lines = islice(reader, _CHUNK_ROWS)
-            if first is None:
-                rows = list(lines)
-            else:
-                rows = [r for r in lines if len(r) != width or r[0] == first]
+            rows = list(islice(reader, _CHUNK_ROWS))
             if reader.line_num == start:  # end of file
                 return
             if set(map(len, rows)) - {width}:
@@ -386,6 +389,72 @@ def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
     return SimilaritySet(blocks)
 
 
+def _plain_lines(path: Path, type_name: str) -> list[bytes]:
+    """The row id, column id and value of each of ``type_name``'s lines in a
+    similarity CSV, found without csv: per piece of the file, those fields of
+    its lines of the type, joined by commas.
+
+    That split is csv's parse, and every row is still checked, in a plain
+    file: the exact header, no ``"``, every ``\\r`` in a ``\\r\\n``, valid
+    UTF-8, no line over ``csv.field_size_limit()``, and 3 commas on every
+    non-blank line.  Any other file, or a type name holding ``,``, ``"``,
+    ``\\r`` or ``\\n``, raises ``_NotPlain``.
+    """
+    if not path.is_file() or any(c in type_name for c in ',"\r\n'):
+        raise _NotPlain
+    # A lone surrogate is encoded to bytes that no valid UTF-8 file holds.
+    prefix = (type_name + ",").encode("utf-8", "surrogatepass")
+    header = ",".join(_SIM_HEADER).encode()
+    limit, found = csv.field_size_limit(), []
+    with open(path, "rb") as fh:
+        if fh.readline(len(header) + 2) not in (header, header + b"\n", header + b"\r\n"):
+            raise _NotPlain
+        # Pieces of whole lines: a chunk, then the rest of its last line.
+        while piece := fh.read(_CHUNK_BYTES) + fh.readline(limit):
+            if not piece.endswith(b"\n"):  # the last line, or one over the limit
+                if piece.endswith(b"\r") or fh.read(1):
+                    raise _NotPlain
+                piece += b"\n"
+            a = np.frombuffer(piece, np.uint8)
+            ends = np.flatnonzero(a == ord("\n"))
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            crlf = a[ends - 1] == ord("\r")  # a[-1] is a newline
+            commas = np.diff(np.searchsorted(np.flatnonzero(a == ord(",")), ends), prepend=0)
+            if (b'"' in piece or piece.count(b"\r") != crlf.sum()
+                    or (ends - starts).max() > limit
+                    or not ((commas == 3) | (ends - starts == crlf)).all()):
+                raise _NotPlain
+            try:
+                piece.decode()
+            except UnicodeDecodeError:
+                raise _NotPlain from None
+            lines = np.arange(len(ends))
+            for j, byte in enumerate(prefix):  # no line ends before a mismatch
+                lines = lines[a[starts[lines] + j] == byte]
+            if lines.size:
+                found.append(b",".join([piece[lo:hi] for lo, hi in zip(
+                    (starts[lines] + len(prefix)).tolist(), (ends - crlf)[lines].tolist()
+                )]))
+    return found
+
+
+def _type_rows(path: Path, type_name: str):
+    """The row ids, column ids and values of ``type_name``'s rows of a
+    similarity CSV, in chunks: from the type's lines alone in a plain file
+    (``_plain_lines``), else from every row, each checked by csv."""
+    try:
+        pieces = _plain_lines(path, type_name)
+    except _NotPlain:
+        for rows in _row_chunks(path, _SIM_HEADER):
+            if rows := [r for r in rows if r[0] == type_name]:
+                _, rids, cids, values = zip(*rows)
+                yield rids, cids, _numbers(values)
+        return
+    for piece in pieces:
+        fields = piece.decode().split(",")
+        yield fields[0::3], fields[1::3], _numbers(fields[2::3])
+
+
 def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     """One block from a similarity CSV without the originating network.
 
@@ -404,11 +473,10 @@ def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
                 raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
 
     with _replay(p, _SIM_HEADER, check):
-        for rows in _row_chunks(p, _SIM_HEADER, first=type_name):
-            _, rids, cids, values = zip(*rows)
-            for eid in dict.fromkeys(e for pair in zip(rids, cids) for e in pair):
+        for rids, cids, values in _type_rows(p, type_name):
+            for eid in dict.fromkeys(chain.from_iterable(zip(rids, cids))):
                 seen.setdefault(eid, len(seen))
-            parts.append((positions(rids, seen), positions(cids, seen), _numbers(values)))
+            parts.append((positions(rids, seen), positions(cids, seen), values))
     if not seen:
         raise BundleError(f"{p}: no rows for type {type_name!r}")
     block = np.eye(len(seen))

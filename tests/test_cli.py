@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, reproducibility."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hetsim import dataio
 from hetsim.cli import (
     EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, MAX_SWEEP_POINTS, _parse_sweep, main,
 )
-from hetsim.lowrank import FactoredSimilarity
+from hetsim.lowrank import FactoredSimilarity, rank_others
 
 
 def write_toy_bundle(path):
@@ -531,6 +533,38 @@ class TestQueryAndHeatmap:
         assert "<svg" in out.read_text()
 
 
+    @pytest.mark.parametrize("types,plain", [
+        ([("A", ["a1", "a2", "a3"]), ("B", ["b1", "b2"])], True),
+        ([("A", ["a,1", 'a"2', "a\r\n3"]), ("B", ["b1", "b2"])], False),
+        ([("A", ["a1", "a2", "a3"]), ("B", ["b,1", 'b"2'])], False),
+        ([('A,"x', ["a1", "a2", "a3"]), ("B", ["b1", "b2"])], False),
+    ], ids=["plain", "quoted asked ids", "quoted other ids", "quoted type name"])
+    def test_similarity_commands_match_the_solved_block(self, tmp_path, capsys, types, plain):
+        """query and heatmap --similarity print the in-memory ranking and draw
+        the in-memory block, whether the dump is read without csv or with it."""
+        (name, ids), (_, other) = types
+        net = hetsim.build_network(types, [("r", name, "B", [(ids[0], other[1])])])
+        state, _ = hetsim.solve_dense(net, hetsim.default_weights(net))
+        similarity = tmp_path / "similarity.csv"
+        dataio.save_similarity(state, net, similarity)
+        block = state[name]
+        dataio.export_heatmap(block, tmp_path / "want.svg")
+        with mock.patch.object(dataio, "_row_chunks", wraps=dataio._row_chunks) as row_chunks:
+            for i, eid in enumerate(ids):
+                code, stdout, _ = run(["query", "--similarity", str(similarity), "--type", name,
+                                       "--id", eid, "--k", "2"], capsys)
+                assert code == EXIT_OK
+                assert stdout.split("\n", 1)[1] == "".join(
+                    f"{rank},{ids[j]},{'%.17g' % score}\n"
+                    for rank, (j, score) in enumerate(rank_others(block[i], i, 2), start=1)
+                )
+            out = tmp_path / "heat.svg"
+            code, _, _ = run(["heatmap", "--similarity", str(similarity), "--type", name,
+                              "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        assert out.read_bytes() == (tmp_path / "want.svg").read_bytes()
+        assert row_chunks.called != plain
+
     @pytest.mark.parametrize("size", [1, 3])
     def test_query_factors_of_another_size_is_io_error(self, tmp_path, capsys, size):
         bundle = tmp_path / "toy"
@@ -825,6 +859,56 @@ class TestMissingKeys:
             ["heatmap", "--factors", str(factors), "--type", "A",
              "--out", str(tmp_path / "a.svg")]
         )
+
+
+class TestUnreadableCsv:
+    """A field over csv's size limit, or bytes that are not UTF-8, in any CSV
+    a command reads exit 4 and name the file, with no traceback."""
+
+    def _similarity(self, tmp_path):
+        """The toy's similarity CSV: A's rows on lines 2-4, B's on line 5."""
+        net = write_toy_bundle(tmp_path / "toy")
+        state, _ = hetsim.solve_dense(net, hetsim.default_weights(net))
+        path = tmp_path / "similarity.csv"
+        dataio.save_similarity(state, net, path)
+        return path
+
+    def _exits_with(self, argv, message):
+        code, stderr = run_process(argv)
+        assert (code, stderr) == (EXIT_IO, f"error: {message}\n")
+
+    @pytest.mark.parametrize("line", [3, 5], ids=["asked type", "another type"])
+    def test_over_long_similarity_field_is_io_error(self, tmp_path, line):
+        path = self._similarity(tmp_path)
+        lines = path.read_bytes().decode().split("\r\n")
+        fields = lines[line - 1].split(",")
+        fields[1] = "x" * (csv.field_size_limit() + 1)
+        lines[line - 1] = ",".join(fields)
+        path.write_bytes("\r\n".join(lines).encode())
+        self._exits_with(["query", "--similarity", str(path), "--type", "A", "--id", "a1"],
+                         f"{path}:{line}: field larger than field limit (131072)")
+
+    def test_over_long_entity_id_is_io_error(self, tmp_path):
+        write_toy_bundle(tmp_path / "toy")
+        path = tmp_path / "toy" / "entities_A.csv"
+        _append_line(path, "x" * (csv.field_size_limit() + 1))
+        self._exits_with(["check", "--bundle", str(tmp_path / "toy")],
+                         f"{path}:4: field larger than field limit (131072)")
+
+    @pytest.mark.parametrize("command", ["query", "heatmap"])
+    def test_similarity_not_utf8_is_io_error(self, tmp_path, command):
+        path = self._similarity(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"a2", b"a\xff", 1))
+        tail = ["--id", "a1"] if command == "query" else ["--out", str(tmp_path / "h.svg")]
+        self._exits_with([command, "--similarity", str(path), "--type", "A", *tail],
+                         f"{path}: invalid UTF-8 (invalid start byte)")
+
+    def test_entity_file_not_utf8_is_io_error(self, tmp_path):
+        write_toy_bundle(tmp_path / "toy")
+        path = tmp_path / "toy" / "entities_A.csv"
+        path.write_bytes(path.read_bytes().replace(b"a2", b"a\xff"))
+        self._exits_with(["check", "--bundle", str(tmp_path / "toy")],
+                         f"{path}: invalid UTF-8 (invalid start byte)")
 
 
 class TestCheck:

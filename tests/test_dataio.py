@@ -1,6 +1,7 @@
 """Bundle, similarity, factors, points serialization, and heatmaps."""
 
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -515,9 +516,11 @@ class TestStreamingReaderErrors:
 
     @pytest.fixture(params=[1, 2, 3, None], ids=lambda c: f"chunk{c or 'default'}")
     def chunk(self, request, monkeypatch):
-        """Lines per streaming pass: a few, to cross pass boundaries, or the default."""
+        """Lines (and bytes, for the plain similarity reader) per streaming
+        pass: a few, to cross pass boundaries and split lines, or the default."""
         if request.param:
             monkeypatch.setattr(dataio, "_CHUNK_ROWS", request.param)
+            monkeypatch.setattr(dataio, "_CHUNK_BYTES", request.param)
 
     def _dump(self, tmp_path):
         """Lines of a similarity dump of A = {a1, a2, a3} and B = {b1, b2}."""
@@ -599,6 +602,126 @@ class TestStreamingReaderErrors:
             BundleError, match=exactly(f"{path}:4: malformed or out-of-range factor row")
         ):
             dataio.load_factors(tmp_path)
+
+
+# -- the similarity block reader against csv ------------------------------------
+
+def read_block_rows(path, type_name):
+    """``read_similarity_block`` row by row through csv, kept as its oracle:
+    ids in first-appearance order, the last row of a cell winning."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["type", "row_id", "col_id", "value"]
+    rows = [r for r in rows if r]
+    if any(len(r) != 4 for r in rows):
+        raise BundleError("expected 4 fields")
+    rows = [r for r in rows if r[0] == type_name]
+    if not rows:
+        raise BundleError(f"no rows for type {type_name!r}")
+    seen = {}
+    for _, rid, cid, _ in rows:
+        seen.setdefault(rid, len(seen))
+        seen.setdefault(cid, len(seen))
+    block = np.eye(len(seen))
+    for _, rid, cid, value in rows:
+        block[seen[rid], seen[cid]] = block[seen[cid], seen[rid]] = float(value)
+    return list(seen), block
+
+
+# Text that csv writes as it is, or in which each character csv must quote
+# is common on its own.
+CSV_TEXT = st.text("ab\u00e9", max_size=3) | st.text(st.sampled_from('ab\u00e9,"\r\n'), max_size=3)
+OVER_LONG = b"x" * (csv.field_size_limit() + 1)
+# Faults to splice into a similarity CSV: bytes csv quotes or splits on, a
+# stray field, bytes that are not UTF-8, a bad value, a field over csv's limit.
+SPLICES = st.sampled_from([b'"', b"\r", b"\n", b",", b"\xff", b"x", OVER_LONG])
+
+
+@st.composite
+def similarity_files(draw):
+    """The bytes of a similarity CSV: types and ids with the characters csv
+    must quote, rows of interleaved types with repeats, blank lines, LF, CRLF
+    or bare-CR endings, the last one whole, cut or missing; and a type to read."""
+    names = draw(st.lists(CSV_TEXT, min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+    row = st.tuples(st.sampled_from(names), st.sampled_from(ids), st.sampled_from(ids),
+                    FINITE.map(lambda v: "%.17g" % v))
+    rows = draw(st.lists(st.one_of(row, st.just(())), max_size=12))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=ending).writerows([["type", "row_id", "col_id", "value"], *rows])
+    text = buf.getvalue()
+    text = text[: len(text) - draw(st.integers(0, len(ending)))]
+    return text.encode("utf-8"), draw(st.sampled_from([*names, "x"]))
+
+
+class TestSimilarityBlockOracle:
+    """``read_similarity_block`` reads what csv reads, or raises, at any byte
+    chunk size; a plain file is read without csv, and any faulty one as csv
+    alone would read it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_files())
+    # An asked type name with a comma, which a plain file cannot hold.
+    @example((b"type,row_id,col_id,value\r\nA,a,b,1\r\n", "A,a"))
+    def test_read_similarity_block_matches_csv(self, tmp_path_factory, drawn):
+        data, type_name = drawn
+        path = tmp_path_factory.mktemp("s") / "similarity.csv"
+        path.write_bytes(data)
+        want = outcome(read_block_rows, path, type_name)
+        header, *lines = data.replace(b"\r\n", b"\n").split(b"\n")
+        plain = b'"' not in data and b"\r" not in data.replace(b"\r\n", b"")
+        # A field of a bare-CR file may hold an unquoted \n, which splits its line.
+        plain = plain and header == b"type,row_id,col_id,value"
+        plain = plain and all(line.count(b",") == 3 for line in lines if line)
+        plain = plain and not set(',"\r\n') & set(type_name)
+        event("plain" if plain else "read by csv")
+        for chunk in (1, 2, 5, dataio._CHUNK_BYTES):
+            with mock.patch.object(dataio, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(dataio, "_row_chunks", wraps=dataio._row_chunks) as row_chunks:
+                got = outcome(dataio.read_similarity_block, path, type_name)
+            if isinstance(want[0], type):
+                assert got[0] is BundleError
+            else:
+                assert got[0] == want[0] and same_bits(got[1], want[1])
+            assert row_chunks.called != plain
+
+    @settings(max_examples=200, deadline=None)
+    @given(similarity_files(), st.lists(st.tuples(st.integers(0), SPLICES), max_size=3))
+    # csv meets the over-long field (line 5) while reading the chunk that holds
+    # the malformed value (line 3), before any value of the chunk is parsed.
+    @example((b"type,row_id,col_id,value\r\nA,a,a,1\r\nA,a,b,0.5x\r\nA,b,b,1\r\nB,"
+              + OVER_LONG + b",c,1\r\n", "A"), [])
+    # Bytes that are not UTF-8, in a line of another type.
+    @example((b"type,row_id,col_id,value\r\nA,a,a,1\r\nB,b\xff,b,1\r\n", "A"), [])
+    def test_faulty_file_reads_as_by_csv_alone(self, tmp_path_factory, drawn, splices):
+        data, type_name = drawn
+        for at, splice in splices:
+            at %= len(data) + 1
+            data = data[:at] + splice + data[at:]
+        path = tmp_path_factory.mktemp("s") / "similarity.csv"
+        path.write_bytes(data)
+        for chunk_bytes, chunk_rows in ((1, None), (5, 2), (None, None)):
+            with mock.patch.object(dataio, "_CHUNK_BYTES", chunk_bytes or dataio._CHUNK_BYTES), \
+                    mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows or dataio._CHUNK_ROWS):
+                got = outcome(dataio.read_similarity_block, path, type_name)
+                with mock.patch.object(dataio, "_plain_lines", side_effect=dataio._NotPlain):
+                    want = outcome(dataio.read_similarity_block, path, type_name)
+            if isinstance(want[0], type):
+                assert got == want
+            else:
+                assert got[0] == want[0] and same_bits(got[1], want[1])
+
+    def test_line_over_the_limit_after_a_whole_chunk(self, tmp_path):
+        """A chunk that ends at a line end is followed by the next line, read
+        up to csv's field limit: a longer line is not plain, even when the part
+        read holds three commas, and neither is the rest."""
+        path, rows = tmp_path / "similarity.csv", b"A,a,a,1\r\n"
+        long_row = b"B,b,b," + b"x" * (csv.field_size_limit() - 6) + b",b,b,1\r\n"
+        path.write_bytes(b"type,row_id,col_id,value\r\n" + rows + long_row)
+        with mock.patch.object(dataio, "_CHUNK_BYTES", len(rows)):
+            with pytest.raises(BundleError, match=exactly(f"{path}:3: expected 4 fields")):
+                dataio.read_similarity_block(path, "A")
 
 
 # -- the bundle loader against the row-by-row one ----------------------------------
