@@ -113,11 +113,15 @@ def _replay(path: Path, expected_header: list[str], check):
 
 def _numbers(fields: tuple[str, ...], dtype=float) -> np.ndarray:
     """``float()``, or ``int()`` within ``dtype``'s range, of each field:
-    numpy parses a ``str`` as Python does."""
+    numpy parses a ``str`` as Python does.  A non-finite value (``nan``,
+    ``inf``, or a float past the double range) is malformed too."""
     try:
-        return np.array(fields, dtype=dtype)
+        out = np.array(fields, dtype=dtype)
     except (ValueError, OverflowError):
         raise _Malformed from None
+    if not np.isfinite(out).all():
+        raise _Malformed
+    return out
 
 
 def _put(target: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
@@ -373,8 +377,8 @@ def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
         if rid not in t.index or cid not in t.index:
             raise BundleError(f"{p}:{lineno}: unknown entity id")
         try:
-            float(value)
-        except ValueError:
+            _numbers((value,))
+        except _Malformed:
             raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
 
     with _replay(p, _SIM_HEADER, check):
@@ -468,8 +472,8 @@ def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     def check(lineno, row):
         if row[0] == type_name:
             try:
-                float(row[3])
-            except ValueError:
+                _numbers(row[3:])
+            except _Malformed:
                 raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
 
     with _replay(p, _SIM_HEADER, check):
@@ -523,8 +527,8 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
     def check(lineno, row):
         try:
             index = [int(x) for x in row[:axes]]
-            float(row[axes])
-        except ValueError:
+            _numbers(row[axes:])
+        except (ValueError, _Malformed):
             index = None
         if index is None or not all(0 <= i < n for i, n in zip(index, shape)):
             raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")

@@ -1,6 +1,7 @@
 """Dense reference solvers for the coupled similarity fixed point.
 
-One Jacobi sweep recomputes every per-type block from the previous iterate:
+One Gauss-Seidel sweep updates the per-type blocks one after another, in
+type-name order (``update_order``), each from its partners' newest blocks:
 
     S_t  <-  sum_r  w_tr * W S_p W^T                 (coupling)
     S_t  <-  S_t - diag(S_t) + I                     (unit diagonal)
@@ -154,35 +155,42 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
     return plan
 
 
-def _coupling(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> dict:
-    """Per type, sum_r w W S_p W^T before any diagonal handling, as B g: the
-    gather buffer g stacks (W_i S_p_i)^T, taken as S_p_i W_i^T, over t's sides,
-    one side's product alive at a time.  So the result is symmetric only to
-    rounding (off by up to 2.2e-16 seen), as are the iterates built on it."""
-    acc = {}
-    for t in network.types:
-        stacked, rows = plan[t.name]
-        g = np.empty((stacked.shape[1], t.size))
-        for _, oper, partner, start, stop in rows:
-            g[start:stop] = (oper @ state[partner]).T
-        acc[t.name] = stacked @ g
-    return acc
+def update_order(network: HeteroNetwork) -> list:
+    """The order in which a sweep updates the types: by name, so iterates do
+    not depend on the order types and relations are listed in."""
+    return sorted(network.types, key=lambda t: t.name)
+
+
+def _coupling(t, blocks: dict, plan: dict) -> np.ndarray:
+    """Type t's sum_r w W S_p W^T over ``blocks`` before any diagonal
+    handling, as B g: the gather buffer g stacks (W_i S_p_i)^T, taken as
+    S_p_i W_i^T, over t's sides, one side's product alive at a time.  So the
+    result is symmetric only to rounding (off by up to 2.2e-16 seen), as are
+    the iterates built on it."""
+    stacked, rows = plan[t.name]
+    g = np.empty((stacked.shape[1], t.size))
+    for _, oper, partner, start, stop in rows:
+        g[start:stop] = (oper @ blocks[partner]).T
+    return stacked @ g
 
 
 def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> SimilaritySet:
-    """One Jacobi sweep: every block recomputed from the previous iterate only.
+    """One Gauss-Seidel sweep: the blocks are recomputed in ``update_order``,
+    each from the newest blocks of its partners.
 
     ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` are taken as
-    symmetric (``_coupling``); iterates are so only to rounding, and the
-    similarity CSV stores the upper triangle.  Symmetrizing every sweep would
-    cost sweep time and change the chained iterates."""
+    symmetric (``_coupling``) and left as they are; iterates are symmetric
+    only to rounding, and the similarity CSV stores the upper triangle.
+    Symmetrizing every sweep would cost sweep time and change the chained
+    iterates."""
     for t in network.types:
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")
-    acc = _coupling(network, state, plan)
-    for m in acc.values():
+    blocks = dict(state.blocks)
+    for t in update_order(network):
+        m = blocks[t.name] = _coupling(t, blocks, plan)
         np.fill_diagonal(m, 1.0)
-    return SimilaritySet(acc)
+    return SimilaritySet(blocks)
 
 
 def checked_plan(network, weights, check, damping=None) -> dict:
@@ -206,18 +214,19 @@ def checked_plan(network, weights, check, damping=None) -> dict:
 
 
 def _solve_coupled(network, weights, config, check, damping=None):
-    """Iterate from S = I: Jacobi sweeps, or with ``damping`` c the Lyapunov
-    map S = c * coupling(S) + (1 - c) I."""
+    """Iterate from S = I: Gauss-Seidel sweeps, or with ``damping`` c the same
+    sweeps of the Lyapunov map S = c * coupling(S) + (1 - c) I."""
     plan = checked_plan(network, weights, check, damping)
 
     def step(state):
         if damping is None:
             return sweep(network, state, plan)
-        acc = _coupling(network, state, plan)
-        for m in acc.values():
+        blocks = dict(state.blocks)
+        for t in update_order(network):
+            m = blocks[t.name] = _coupling(t, blocks, plan)
             m *= damping
             m[np.diag_indices_from(m)] += 1.0 - damping
-        return SimilaritySet(acc)
+        return SimilaritySet(blocks)
 
     return iterate(SimilaritySet.identity(network), step, residual_by_type, config)
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import DivergenceError, SolveTrace, SolverConfig, checked_plan, iterate
+from .dense import DivergenceError, SolveTrace, SolverConfig, checked_plan, iterate, update_order
 from .model import HeteroNetwork, WeightMatrix
 
 
@@ -239,21 +239,22 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
 def sweep_lowrank(
     network: HeteroNetwork, state: Mapping[str, FactoredSimilarity], table: dict, power: int
 ) -> dict[str, FactoredSimilarity]:
-    """One Jacobi sweep in factored form.
+    """One Gauss-Seidel sweep in factored form, in ``dense.update_order``.
 
     Per type: assemble the update operator, less its exact diagonal, against
-    the previous factors and project it to its rank with ``power`` passes.
-    The identity is re-added implicitly by the factored representation.
-    ``table`` is ``update_plan``'s result; a type absent there stays I.
+    the partners' newest factors and project it to its rank with ``power``
+    passes.  The identity is re-added implicitly by the factored
+    representation.  ``table`` is ``update_plan``'s result; a type absent
+    there stays I.  ``state`` itself is left as it is.
     """
-    new: dict[str, FactoredSimilarity] = {}
-    for t in network.types:
+    new = dict(state)
+    for t in update_order(network):
         if t.name not in table:
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
         entry = table[t.name]
         rank, sketch = entry[4:]
-        op = build_update_operator(state, entry)
+        op = build_update_operator(new, entry)
         u, d = randomized_eig(op, rank, sketch, power)
         new[t.name] = FactoredSimilarity(u, d)
     return new

@@ -911,6 +911,37 @@ class TestUnreadableCsv:
                          f"{path}: invalid UTF-8 (invalid start byte)")
 
 
+class TestNonFiniteValues:
+    """A non-finite value in a row of the asked type, in a similarity dump or
+    a factor file, is an I/O error (exit 4) that names the file and line."""
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["query", "heatmap"])
+    @pytest.mark.parametrize("source", ["similarity", "factors"])
+    def test_non_finite_value_is_io_error(self, tmp_path, capsys, source, command, value):
+        bundle = tmp_path / "bundle"
+        dataio.save_network(hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=6, seed=3)),
+                            bundle)
+        solver = ["--solver", "dense"] if source == "similarity" else [
+            "--solver", "lowrank", "--ranks", "2", "--seed", "0"]
+        code, _, _ = run(["solve", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+                          *solver], capsys)
+        assert code in (EXIT_OK, EXIT_NOCONVERGE)
+        if source == "similarity":
+            path = tmp_path / "o" / "similarity.csv"
+            args, message = ["--similarity", str(path)], f"malformed value {value!r}"
+        else:
+            path = tmp_path / "o" / "factors" / "U_c0.csv"
+            args, message = ["--factors", str(path.parent)], "malformed or out-of-range factor row"
+            args += ["--bundle", str(bundle)] if command == "query" else []
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + value  # line 3, a row of c0
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tail = ["--id", "c0_1"] if command == "query" else ["--out", str(tmp_path / "h.svg")]
+        code, out, err = run([command, *args, "--type", "c0", *tail], capsys)
+        assert (code, err) == (EXIT_IO, f"error: {path}:3: {message}\n")
+
+
 class TestCheck:
     def test_passing_bundle(self, tmp_path, capsys):
         write_toy_bundle(tmp_path / "toy")

@@ -191,6 +191,13 @@ class TestPointsRoundTrip:
         with pytest.raises(BundleError):
             dataio.load_points(path)
 
+    @pytest.mark.parametrize("row", ["0,0.5,x", "0,nan,0.5", "1,0.5,inf", "0.5,0,0"])
+    def test_malformed_row_reported_with_line(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"layer,x,y\n0,0.25,0.5\n{row}\n1,0.5,0.5\n")
+        with pytest.raises(BundleError, match=exactly(f"{path}:3: malformed point row")):
+            dataio.load_points(path)
+
 
 class TestHeatmap:
     def test_identity_two_color_field(self, tmp_path):
@@ -552,6 +559,17 @@ class TestStreamingReaderErrors:
             dataio.read_similarity_block(path, "A")
         assert dataio.read_similarity_block(path, "B")[0] == ["b1", "b2"]
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_in_queried_type(self, tmp_path, chunk, value):
+        net, _, path, lines = self._dump(tmp_path)
+        lines[5] = f"A,a2,a3,{value}"  # line 6
+        self._write(path, lines)
+        for read in (lambda: dataio.read_similarity_block(path, "A"),
+                     lambda: dataio.load_similarity(path, net)):
+            with pytest.raises(BundleError, match=exactly(f"{path}:6: malformed value {value!r}")):
+                read()
+        assert dataio.read_similarity_block(path, "B")[0] == ["b1", "b2"]
+
     def test_blank_line_mid_file(self, tmp_path, chunk):
         net, state, path, lines = self._dump(tmp_path)
         lines.insert(4, "")  # line 5
@@ -570,6 +588,7 @@ class TestStreamingReaderErrors:
         ("C,a1,a1,0.5", "unknown type 'C'"),
         ("A,a1,b1,0.5", "unknown entity id"),
         ("B,b1,b2,--1", "malformed value '--1'"),
+        ("B,b1,b2,inf", "malformed value 'inf'"),
     ])
     def test_load_similarity_names_the_line(self, tmp_path, chunk, row, message):
         net, _, path, lines = self._dump(tmp_path)
@@ -589,7 +608,9 @@ class TestStreamingReaderErrors:
         assert same_bits(dataio.load_similarity(path, net)["A"], expected)
         assert same_bits(dataio.read_similarity_block(path, "A")[1], expected)
 
-    @pytest.mark.parametrize("row", ["1,0,1.5e", "1,x,0.5", "1,0,", "3,0,0.5"])
+    @pytest.mark.parametrize(
+        "row", ["1,0,1.5e", "1,x,0.5", "1,0,", "3,0,0.5", "1,0,nan", "1,0,-inf", "1,0,2e308"]
+    )
     def test_malformed_factor_row(self, tmp_path, chunk, row):
         net = hetsim.build_network([("A", ["a1", "a2", "a3"])], [])
         dataio.save_factors({"A": FactoredSimilarity(np.ones((3, 2)), np.ones(2))},
@@ -624,6 +645,8 @@ def read_block_rows(path, type_name):
         seen.setdefault(cid, len(seen))
     block = np.eye(len(seen))
     for _, rid, cid, value in rows:
+        if not np.isfinite(float(value)):
+            raise BundleError(f"malformed value {value!r}")
         block[seen[rid], seen[cid]] = block[seen[cid], seen[rid]] = float(value)
     return list(seen), block
 
@@ -664,6 +687,9 @@ class TestSimilarityBlockOracle:
     @given(similarity_files())
     # An asked type name with a comma, which a plain file cannot hold.
     @example((b"type,row_id,col_id,value\r\nA,a,b,1\r\n", "A,a"))
+    # A non-finite value of the asked type, in a plain file and in a quoted one.
+    @example((b"type,row_id,col_id,value\r\nA,a,a,1\r\nA,a,b,nan\r\n", "A"))
+    @example((b'type,row_id,col_id,value\r\nA,"a,",b,-inf\r\n', "A"))
     def test_read_similarity_block_matches_csv(self, tmp_path_factory, drawn):
         data, type_name = drawn
         path = tmp_path_factory.mktemp("s") / "similarity.csv"

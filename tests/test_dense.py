@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import hetsim
@@ -107,17 +107,19 @@ def networks_weights_states(draw):
 
 
 def explicit_sweep(net, weights, state):
-    """sum_r w W S_p W^T with dense column-normalized W, then diag := 1."""
-    out = {}
-    for t in net.types:
+    """Types in name order, each block sum_r w W S_p W^T with dense
+    column-normalized W over the partners' newest blocks, then diag := 1."""
+    out = dict(state.blocks)
+    for name in sorted(t.name for t in net.types):
+        t = net.type(name)
         acc = np.zeros((t.size, t.size))
-        for r in net.incident(t.name):
+        for r in net.incident(name):
             a = r.adjacency().toarray()
-            a, partner = (a, r.dst) if r.src.name == t.name else (a.T, r.src)
+            a, partner = (a, r.dst) if r.src.name == name else (a.T, r.src)
             w = a / np.maximum(a.sum(axis=0), 1)
-            acc += weights.weight(t.name, r.name) * (w @ state[partner.name] @ w.T)
+            acc += weights.weight(name, r.name) * (w @ out[partner.name] @ w.T)
         np.fill_diagonal(acc, 1.0)
-        out[t.name] = acc
+        out[name] = acc
     return out
 
 
@@ -211,6 +213,75 @@ def test_solution_does_not_depend_on_listing_order(case):
     assert trace.iterations == again.iterations
     for name, block in first.blocks.items():
         np.testing.assert_allclose(second[name], block, rtol=0, atol=1e-12)
+
+
+def jacobi_solve(net, weights, config, damping=None):
+    """The solvers' fixed point by Jacobi sweeps, kept as their reference: every
+    block from the previous sweep's blocks, sum_r w W S_p W^T with dense
+    column-normalized W, then diag := 1, or with ``damping`` c the Lyapunov
+    map c * sum_r w W S_p W^T + (1 - c) I.  Returns the blocks and whether
+    the summed Frobenius residual reached ``config.tol``."""
+    sides = {t.name: [] for t in net.types}
+    for t in net.types:
+        for r in net.incident(t.name):
+            a = r.adjacency().toarray()
+            a, partner = (a, r.dst) if r.src.name == t.name else (a.T, r.src)
+            w = a / np.maximum(a.sum(axis=0), 1)
+            sides[t.name].append((weights.weight(t.name, r.name), w, partner.name))
+    state = {t.name: np.eye(t.size) for t in net.types}
+    for _ in range(config.max_iter):
+        new = {}
+        for t in net.types:
+            acc = sum((c * w @ state[p] @ w.T for c, w, p in sides[t.name]),
+                      np.zeros((t.size, t.size)))
+            if damping is None:
+                np.fill_diagonal(acc, 1.0)
+            else:
+                acc = damping * acc + (1.0 - damping) * np.eye(t.size)
+            new[t.name] = acc
+        res = sum(np.linalg.norm(new[name] - state[name]) for name in state)
+        state = new
+        if res <= config.tol:
+            return state, True
+    return state, False
+
+
+@pytest.mark.parametrize("damping", [None, 0.8], ids=["dense", "lyapunov"])
+@settings(max_examples=100, deadline=None)
+@given(case=networks_relations_weights())
+def test_gauss_seidel_reaches_the_jacobi_fixed_point(case, damping):
+    """On every drawn network whose condition check passes, the Gauss-Seidel
+    solve and a Jacobi iteration, each run to tol 1e-10, agree to 1e-6.  A
+    draw on which either one misses tol within ``max_iter`` is skipped and
+    counted as an event, since unconverged iterates need not agree."""
+    net, weights = case
+    report = hetsim.check_convergence_conditions(net, weights)
+    if damping is None:
+        assume(report.ok)
+    else:
+        assume(all(damping * b <= 1.0 for b in report.lyapunov_bounds.values()))
+    config = hetsim.SolverConfig(tol=1e-10, max_iter=500)
+    if damping is None:
+        solved, trace = hetsim.solve_dense(net, weights, config)
+    else:
+        solved, trace = hetsim.solve_lyapunov(net, weights, config, damping=damping)
+    want, converged = jacobi_solve(net, weights, config, damping)
+    if not (trace.converged and converged):
+        event("an ok draw did not converge")
+    assume(trace.converged and converged)
+    for t in net.types:
+        np.testing.assert_allclose(solved[t.name], want[t.name], rtol=0, atol=1e-6)
+
+
+def test_sweeps_to_tolerance_on_a_pinned_network():
+    """The network ``synth random --K 4 --N 200 --seed 1`` writes reaches tol
+    1e-9 within 60 Gauss-Seidel sweeps (54 measured; Jacobi sweeps take 104),
+    so a rise in the sweep count fails here."""
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=200, seed=1))
+    _, trace = hetsim.solve_dense(
+        net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-9, max_iter=300)
+    )
+    assert trace.converged and trace.iterations <= 60
 
 
 @settings(max_examples=25, deadline=None)
@@ -522,7 +593,8 @@ class TestSolverConfig:
     @every_solver
     def test_divergence_is_read_off_the_first_non_finite_residual(self, solve, monkeypatch):
         # At weights 1e200 the first iterate is still finite, but its distance
-        # from S = I already overflows: the solve stops at iteration 1.
+        # from S = I already overflows: the solve stops at iteration 1.  One
+        # type, so no block reads another's overflowed update within a sweep.
         traces = []
 
         class Recorded(hetsim.SolveTrace):
@@ -531,7 +603,7 @@ class TestSolverConfig:
                 traces.append(self)
 
         monkeypatch.setattr(dense, "SolveTrace", Recorded)
-        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=8, seed=0))
+        net = single_type_graph(np.random.default_rng(0).random((8, 8)) < 0.3)
         huge = hetsim.WeightMatrix({k: 1e200 for k in hetsim.default_weights(net).entries})
         with np.errstate(all="ignore"), pytest.raises(
             hetsim.DivergenceError, match=r"^non-finite residual at iteration 1$"

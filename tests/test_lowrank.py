@@ -321,15 +321,15 @@ class TestSweepLowrank:
         plan = coupling_plan(net, weights)
         table = update_plan(net, plan, svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
-        for _ in range(5):
-            new = {}
-            for i, t in enumerate(net.types):
-                assert plan[t.name][1]
-                op = build_update_operator(state, table[t.name])
-                sketch = lowrank._rng_for(3, i).standard_normal((t.size, 9))
+        listed = {t.name: i for i, t in enumerate(net.types)}
+        for _ in range(5):  # types in name order, each on its partners' newest factors
+            for name in sorted(listed):
+                t = net.type(name)
+                assert plan[name][1]
+                op = build_update_operator(state, table[name])
+                sketch = lowrank._rng_for(3, listed[name]).standard_normal((t.size, 9))
                 u, d = randomized_eig(op, 4, sketch, 1)
-                new[t.name] = FactoredSimilarity(u, d)
-            state = new
+                state[name] = FactoredSimilarity(u, d)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
