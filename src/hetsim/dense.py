@@ -195,16 +195,16 @@ def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> Similarit
 
 def checked_plan(network, weights, check, damping=None) -> dict:
     """Every solver's opening: the precheck, then ``coupling_plan``.  With
-    ``damping`` c the precheck is the Lyapunov map's c * sum w ||W||_1^2 <= 1
-    per type."""
+    ``damping`` c the precheck is the Lyapunov map's c * sum w ||W||_1^2 < 1
+    per type: at exactly 1 the damped map need not contract."""
     if check:
         report = check_convergence_conditions(network, weights)
         if damping is not None:
             for name, bound in report.lyapunov_bounds.items():
-                if damping * bound > 1.0 + 1e-12:
+                if damping * bound >= 1.0:
                     raise ConditionError(
                         f"contraction bound violated for type {name!r}: "
-                        f"c * sum w ||W||_1^2 = {damping * bound:.6g} > 1"
+                        f"c * sum w ||W||_1^2 = {damping * bound:.6g}, not below 1"
                     )
         elif not report.ok:
             raise ConditionError(

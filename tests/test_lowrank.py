@@ -141,15 +141,40 @@ class TestUpdateOperator:
             np.testing.assert_allclose(op.apply(np.eye(t.size)), off, rtol=0, atol=1e-12)
             np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
 
-    def test_sparse_product_count_is_two_per_apply(self):
+    def test_sparse_products_two_per_apply_none_on_the_sketch(self):
         net, _, state, table = self._random_setup(2)
         t = net.types[0]
-        op = build_update_operator(state, table[t.name])
-        assert len(op.sides) > 1
+        entry = table[t.name]
+        assert len(entry[1]) > 1 and entry[5] is not None
+        op = build_update_operator(state, entry)
         op.apply(np.zeros(t.size))
         assert op.spmv_count == 2
         op.apply(np.zeros((t.size, 3)))
         assert op.spmv_count == 4
+        # The sketch's weight-only image is the plan's: no sparse product.
+        op.apply(entry[5])
+        assert op.spmv_count == 4
+        op.apply(entry[5].copy())
+        assert op.spmv_count == 6
+
+    def test_the_plan_image_gives_the_bits_a_copy_gives(self):
+        """The per-solve image is a memo: applying the operator to the plan's
+        own sketch (or, at exact width, taking it as an array) gives the bits
+        that an equal copy of the sketch (or of I) gives."""
+        net, _, state, table = self._random_setup(3)
+        svd = hetsim.SvdConfig(rank=max(t.size for t in net.types))
+        exact = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), svd)
+        for t in net.types:
+            rank, sketch = table[t.name][4:6]
+            if sketch is not None:
+                op = build_update_operator(state, table[t.name])
+                assert np.array_equal(op @ sketch, op @ sketch.copy())
+                first = randomized_eig(op, rank, sketch)
+                again = randomized_eig(build_update_operator(state, table[t.name]), rank, sketch.copy())
+                assert all(np.array_equal(a, b) for a, b in zip(first, again))
+            assert exact[t.name][5] is None
+            op = build_update_operator(state, exact[t.name])
+            assert np.array_equal(np.asarray(op), op @ np.eye(t.size))
 
 
 @st.composite
@@ -203,7 +228,8 @@ def top_pairs(matrix, rank):
 @given(networks_with_factors(), st.integers(0, 2**32 - 1), st.data())
 def test_full_width_eig_is_the_exact_top_pairs(case, seed, data):
     """With no sketch, randomized_eig decomposes exactly, whatever the rank:
-    one apply."""
+    the operator taken as an array.  For a type of exact width in the plan,
+    its weight-only part is the plan's image of I: no sparse product."""
     net, state = case
     weights = hetsim.default_weights(net)
     table = update_plan(net, coupling_plan(net, weights), hetsim.SvdConfig(rank=1))
@@ -222,30 +248,94 @@ def test_full_width_eig_is_the_exact_top_pairs(case, seed, data):
             # At a near-tie in |lambda| the kept eigenvectors are not determined.
             if gap > 1e-2 * max(1.0, np.abs(matrix).max()):
                 np.testing.assert_allclose((u * d) @ u.T, want, rtol=0, atol=1e-12)
-        assert op.spmv_count == 2
+        assert op.spmv_count == (0 if table[t.name][5] is None else 2)
+
+
+def power_basis_oracle(y):
+    """One Cholesky step y R^-1, R^T R = y^T y, or Householder Q when
+    ``cholesky`` raises or a pivot is below 1e-6 times the largest."""
+    try:
+        lower = np.linalg.cholesky(y.T @ y)
+    except np.linalg.LinAlgError:
+        return np.linalg.qr(y)[0]
+    if np.diag(lower).min() <= 1e-6 * np.diag(lower).max():
+        return np.linalg.qr(y)[0]
+    return y @ np.linalg.inv(lower).T
+
+
+def range_finder_oracle(op, sketch, power, basis):
+    """Q^T op Q's eigenpairs on Q = Householder QR of the last product, each
+    of the ``power`` passes applying op to ``basis`` of the one before."""
+    y = op @ sketch
+    for _ in range(power):
+        y = op @ basis(y)
+    q, _ = np.linalg.qr(y)
+    b = q.T @ (op @ q)
+    lam, v = np.linalg.eigh(0.5 * (b + b.T))
+    return q, lam, v
 
 
 def test_narrow_eig_runs_the_range_finder_on_its_sketch():
     """Below full width, down to n - 1, every apply of the range finder
-    happens, on the sketch passed in, which sets the width alone."""
+    happens, on the sketch passed in, which sets the width alone: the first
+    product, ``power`` passes on a Cholesky-normalized basis, and Householder
+    QR for the final basis.  On the plan's own sketch the first product is
+    the plan's image, so it costs no sparse product."""
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=30, seed=5))
     table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), hetsim.SvdConfig(rank=1))
     state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
     power = 2
     for t in net.types:
-        for width in (3, t.size - 1):
-            rank = 1 + width // 2
-            op = build_update_operator(state, table[t.name])
-            sketch = np.random.default_rng(11).standard_normal((t.size, width))
+        entry = table[t.name]
+        for sketch in (np.random.default_rng(11).standard_normal((t.size, 3)),
+                       np.random.default_rng(11).standard_normal((t.size, t.size - 1)),
+                       entry[5]):
+            rank = 1 + sketch.shape[1] // 2
+            op = build_update_operator(state, entry)
             u, d = randomized_eig(op, rank, sketch, power)
-            assert op.spmv_count == 2 * (power + 2)
-            q = sketch
-            for _ in range(power + 1):
-                q, _ = np.linalg.qr(op @ q)
-            b = q.T @ (op @ q)
-            lam, v = np.linalg.eigh(0.5 * (b + b.T))
+            assert op.spmv_count == 2 * (power + (1 if sketch is entry[5] else 2))
+            q, lam, v = range_finder_oracle(op, sketch.copy(), power, power_basis_oracle)
             keep = np.argsort(-np.abs(lam), kind="stable")[:rank]
             assert np.array_equal(u, q @ v[:, keep]) and np.array_equal(d, lam[keep])
+
+
+def householder_basis(y):
+    return np.linalg.qr(y)[0]
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_range_finder_below_the_sketch_width(power, monkeypatch):
+    """An operator of rank below the sketch width, from a type whose entities
+    are mostly isolated, makes every intermediate Gram matrix singular: each
+    power pass falls back to Householder QR.  U stays orthonormal, and the
+    kept eigenpairs match a Householder-every-pass range finder, across the
+    eigengap below them."""
+    a_ids = [f"a{i}" for i in range(40)]
+    b_ids = [f"b{i}" for i in range(12)]
+    rng = np.random.default_rng(power)
+    edges = {(f"a{i}", f"b{j}") for i, j in zip(rng.integers(0, 8, 30), rng.integers(0, 12, 30))}
+    net = hetsim.build_network([("A", a_ids), ("B", b_ids)], [("r", "A", "B", sorted(edges))])
+    table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)),
+                        hetsim.SvdConfig(rank=4, oversample=11))
+    entry = table["A"]
+    op = build_update_operator({"A": FactoredSimilarity.identity(40),
+                                "B": FactoredSimilarity.identity(12)}, entry)
+    dense_op = np.asarray(op)
+    assert np.linalg.matrix_rank(dense_op) <= 8 < entry[5].shape[1]
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda y, *a, **k: calls.append(y.shape) or qr(y, *a, **k))
+    u, d = randomized_eig(op, 4, entry[5], power)
+    monkeypatch.undo()
+    assert len(calls) == power + 1  # every pass fell back, then the final basis
+    np.testing.assert_allclose(u.T @ u, np.eye(4), rtol=0, atol=1e-14)
+    q, lam, v = range_finder_oracle(dense_op, entry[5], power, householder_basis)
+    mags = np.sort(np.abs(lam))[::-1]
+    assert mags[3] - mags[4] > 1e-2 * mags[0]  # an eigengap below the kept pairs
+    keep = np.argsort(-np.abs(lam), kind="stable")[:4]
+    want = (q @ v[:, keep] * lam[keep]) @ (q @ v[:, keep]).T
+    np.testing.assert_allclose((u * d) @ u.T, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.sort(d), np.sort(lam[keep]), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
