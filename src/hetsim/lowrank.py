@@ -98,9 +98,9 @@ class SvdConfig:
             raise ValueError(f"rank must be one integer of at least 1, got {self.rank!r}")
 
 
-def _weight_only(stacked, stacked_t, diagonal, x: np.ndarray) -> np.ndarray:
-    """B C^T x - diag(B C^T) x for an (n, k) block x: two sparse products."""
-    return stacked @ (stacked_t @ x) - diagonal[:, None] * x
+def _weight_only(stacked, stacked_t, x: np.ndarray) -> np.ndarray:
+    """B C^T x for an (n, k) block x: two sparse products."""
+    return stacked @ (stacked_t @ x)
 
 
 class UpdateOperator:
@@ -113,15 +113,14 @@ class UpdateOperator:
     W oriented toward this type, with its exact diagonal removed.  Symmetric
     by construction.
 
-    That is the weight-only part B C^T x - diag(B C^T) x, two sparse
-    products counted in ``spmv_count``, plus V G V^T x less its diagonal,
-    with V = [W_1 U_1 | ... | W_m U_m] formed once per operator and G =
-    diag(w_i d_i).  ``entry`` is the type's ``update_plan`` entry, whose
-    ``image`` is the weight-only part applied to its sketch (to I for an
-    exact-width type), computed once per solve the way an apply computes
-    it.  So the operator applied to that sketch, or taken as an array,
-    needs no sparse product, and an equal copy of the sketch gives the same
-    bits, only slower.
+    An apply is the weight-only part B C^T x, two sparse products counted
+    in ``spmv_count``, plus V G V^T x, with V = [W_1 U_1 | ... | W_m U_m]
+    formed once per operator and G = diag(w_i d_i), less the diagonal times
+    x.  ``entry`` is the type's ``update_plan`` entry, whose ``image`` is
+    the weight-only part of its sketch (of I for an exact-width type),
+    computed once per solve the way an apply computes it.  So the operator
+    applied to that sketch, or taken as an array, needs no sparse product,
+    and an equal copy of the sketch gives the same bits, only slower.
     """
 
     def __init__(self, entry, state: Mapping[str, FactoredSimilarity]):
@@ -129,8 +128,8 @@ class UpdateOperator:
         self.shape = (self.stacked.shape[0],) * 2
         self.v = np.hstack([oper @ state[p].U for _, oper, p, _, _ in rows])
         self.vg = self.v * np.concatenate([w * state[p].d for w, _, p, _, _ in rows])
-        self.v_diagonal = (self.vg * self.v).sum(axis=1)
         self.spmv_count = 0
+        self.shift = self.diagonal()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or an (n, k) block."""
@@ -150,19 +149,19 @@ class UpdateOperator:
 
     def _weight_only(self, block: np.ndarray) -> np.ndarray:
         self.spmv_count += 2
-        return _weight_only(self.stacked, self.stacked_t, self.base_diagonal, block)
+        return _weight_only(self.stacked, self.stacked_t, block)
 
     def _add_factors(self, block: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """``base`` plus V G V^T ``block`` less its diagonal part."""
+        """``base`` plus V G V^T ``block``, less the diagonal times ``block``."""
         out = self.vg @ (self.v.T @ block)
         out += base
-        out -= self.v_diagonal[:, None] * block
+        out -= self.shift[:, None] * block
         return out
 
     def diagonal(self) -> np.ndarray:
         """Exact diagonal of B M C^T: the weight-only part plus the factored
         middle term, rownorm^2 of V under G."""
-        return self.base_diagonal + self.v_diagonal
+        return self.base_diagonal + (self.vg * self.v).sum(axis=1)
 
 
 def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> UpdateOperator:
@@ -268,8 +267,8 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
     rank clamped to the block, the Gaussian sketch Omega of rank +
     oversample columns, or None (exact decomposition) when they would fill
-    the block, and the weight-only image B C^T Omega - diagonal * Omega,
-    with Omega = I for an exact-width type."""
+    the block, and the weight-only image B C^T Omega, with Omega = I for an
+    exact-width type."""
     table = {}
     for ti, t in enumerate(network.types):
         stacked, rows = plan[t.name]
@@ -284,7 +283,7 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
         c_t = c.T.tocsr()
         omega = np.eye(t.size) if sketch is None else sketch
-        image = _weight_only(stacked, c_t, diagonal, omega)
+        image = _weight_only(stacked, c_t, omega)
         table[t.name] = (stacked, rows, c_t, diagonal, rank, sketch, image)
     return table
 
