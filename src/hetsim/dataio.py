@@ -6,9 +6,11 @@ Values are written with 17 significant digits so doubles round-trip exactly.
 
 Every file is written and read in whole-array passes, with the bytes and
 error messages of a row-by-row ``csv`` loop: ids are quoted by the ``csv``
-module, values are formatted with ``%.17g``, and a reader that meets any
-fault replays the file row by row (``_replay``) to name the line.  One
-similarity block is read from a plain file without csv (``_plain_lines``).
+module and values are formatted with ``%.17g``.  Each format's checks are
+written once, in a ``read(chunks)`` fold that ``_read`` runs over the file;
+on a fault, ``_refused`` feeds the same ``read`` one row at a time to name
+the line.  One similarity block is read from a plain file without csv
+(``_plain_lines``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -45,7 +47,7 @@ class BundleError(ValueError):
 
 
 class _Malformed(Exception):
-    """A fault met by a vectorized reader; ``_replay`` names its line."""
+    """A fault met by a ``read`` fold, its message that of a one-row chunk."""
 
 
 class _NotPlain(Exception):
@@ -92,35 +94,48 @@ def _row_chunks(path: Path, expected_header: list[str]):
                 yield rows
 
 
-@contextmanager
-def _replay(path: Path, expected_header: list[str], check):
-    """Around a vectorized reader of ``path``: on a fault (``_Malformed``, an id
-    ``positions`` lacks, or a ``NetworkError`` from what it builds), walk
-    ``path`` row by row and raise the first error ``check`` finds, with the
-    line and message a row-by-row reader would give."""
+def _read(path: Path, header: list[str], read, repeated: str | None = None):
+    """``read`` of the row chunks of ``path``; on a fault (``_Malformed``, or a
+    ``NetworkError`` from what it builds), ``_refused`` names the line."""
     try:
-        yield
-    except (_Malformed, KeyError, NetworkError):
-        with _csv_body(path, expected_header) as reader:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise BundleError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-                check(lineno, row)
-        raise BundleError(f"{path}: unreadable rows") from None
+        return read(_row_chunks(path, header))
+    except (_Malformed, NetworkError):
+        _refused(path, header, read, repeated)
 
 
-def _numbers(fields: tuple[str, ...], dtype=float) -> np.ndarray:
+def _refused(path: Path, header: list[str], read, repeated: str | None = None) -> NoReturn:
+    """The first fault of ``path`` with its line: a wrong field count, a row
+    equal to an earlier one (the message ``repeated.format(*row)``, only if
+    given), or a row that ``read`` refuses as a one-row chunk."""
+    seen = set()
+    with _csv_body(path, header) as reader:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise BundleError(f"{path}:{lineno}: expected {len(header)} fields")
+            if repeated is not None:
+                if tuple(row) in seen:
+                    raise BundleError(f"{path}:{lineno}: {repeated.format(*row)}")
+                seen.add(tuple(row))
+            try:
+                read([[row]])
+            except _Malformed as exc:
+                raise BundleError(f"{path}:{lineno}: {exc}") from None
+    raise BundleError(f"{path}: unreadable rows")
+
+
+def _numbers(fields: tuple[str, ...], message: str, dtype=float) -> np.ndarray:
     """``float()``, or ``int()`` within ``dtype``'s range, of each field:
     numpy parses a ``str`` as Python does.  A non-finite value (``nan``,
-    ``inf``, or a float past the double range) is malformed too."""
+    ``inf``, or a float past the double range) is malformed too, and any
+    malformed field raises ``_Malformed(message)``."""
     try:
         out = np.array(fields, dtype=dtype)
     except (ValueError, OverflowError):
-        raise _Malformed from None
+        raise _Malformed(message) from None
     if not np.isfinite(out).all():
-        raise _Malformed
+        raise _Malformed(message)
     return out
 
 
@@ -178,9 +193,9 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _is_finite_number(value) -> bool:
+def _is_weight(value) -> bool:
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value) and value >= 0
     except (TypeError, OverflowError):  # not a number, or an int past float range
         return False
 
@@ -191,7 +206,7 @@ _COUNT = (_is_count, "an integer >= 0")
 # What each schema or manifest key holds; every other key holds a string.
 _KINDS = {
     "types": _LIST, "relations": _LIST, "weights": _LIST, "n": _COUNT, "rank": _COUNT,
-    "weight": (_is_finite_number, "a finite number"),
+    "weight": (_is_weight, "a finite number >= 0"),
 }
 
 
@@ -252,48 +267,40 @@ def save_network(
     (bundle / SCHEMA_NAME).write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _entity_type(bundle: Path, name: str, entities_csv: str) -> EntityType:
+def _entity_type(name: str, path: Path) -> EntityType:
     """A type from its entity file, ids in row order."""
-    path = bundle / entities_csv
-    seen = set()
 
-    def check(lineno, row):
-        if row[0] in seen:
-            raise BundleError(f"{path}:{lineno}: duplicate id {row[0]!r}")
-        seen.add(row[0])
-
-    with _replay(path, ["id"], check):  # a short or long row, or a repeated id
-        ids = tuple(r[0] for rows in _row_chunks(path, ["id"]) for r in rows)
+    def read(chunks):
+        ids = tuple(r[0] for rows in chunks for r in rows)
         if not ids:
             raise BundleError(f"{path}: type {name!r} has no entities")
         return EntityType(name, ids)
 
+    return _read(path, ["id"], read, repeated="duplicate id {0!r}")
+
 
 def _relation(name: str, src: EntityType, dst: EntityType, path: Path) -> Relation:
-    """A relation from its edge file, each endpoint column mapped to indices at once."""
-    seen = set()
+    """A relation from its edge file, each endpoint column of a chunk mapped at once."""
 
-    def check(lineno, row):
-        for t, eid in zip((src, dst), row):
-            if eid not in t.index:
-                raise BundleError(f"{path}:{lineno}: unknown {t.name} id {eid!r}")
-        if tuple(row) in seen:
-            raise BundleError(f"{path}:{lineno}: duplicate edge {row[0]!r} -> {row[1]!r}")
-        seen.add(tuple(row))
+    def read(chunks):
+        a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for rows in chunks:
+            for t, side, found in ((src, 0, a), (dst, 1, b)):
+                try:
+                    found.append(positions([r[side] for r in rows], t.index))
+                except KeyError as exc:
+                    raise _Malformed(f"unknown {t.name} id {exc.args[0]!r}") from None
+        return Relation(name, src, dst, np.concatenate(a), np.concatenate(b))
 
-    with _replay(path, ["src_id", "dst_id"], check):  # a bad row, an unknown id or a repeated edge
-        a, b = [], []
-        for rows in _row_chunks(path, ["src_id", "dst_id"]):
-            a += [r[0] for r in rows]
-            b += [r[1] for r in rows]
-        return Relation(name, src, dst, positions(a, src.index), positions(b, dst.index))
+    return _read(path, ["src_id", "dst_id"], read, repeated="duplicate edge {0!r} -> {1!r}")
 
 
 def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None]:
     """schema.json's entries, each checked for its keys and their JSON types:
     entity files by type name, relations as [name, src, dst, edges_csv] and
     weights as [type, relation, weight] (None without a weights section).
-    Names are checked distinct and each relation's types declared."""
+    Names are checked distinct and each relation's types declared; each
+    weight names a declared type and a relation incident to it, once."""
     path = bundle / SCHEMA_NAME
     schema = _read_json(path)
     # A schema without types or relations has none.
@@ -310,6 +317,13 @@ def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None
         return type_files, relations, None
     weights = [_fields(e, path, "type", "relation", "weight")
                for e in _fields(schema, path, "weights")[0]]
+    incident, seen = {name: (src, dst) for name, src, dst, _ in relations}, set()
+    for t, r, _ in weights:
+        if t not in incident.get(r, ()):  # an unknown type touches no relation
+            raise BundleError(f"{path}: weight for type {t!r}: {r!r} is not its relation")
+        if (t, r) in seen:
+            raise BundleError(f"{path}: duplicate weight for type {t!r}, relation {r!r}")
+        seen.add((t, r))
     return type_files, relations, weights
 
 
@@ -317,7 +331,7 @@ def load_network(bundle_dir) -> tuple[HeteroNetwork, WeightMatrix | None]:
     """Load a bundle; index order is file row order, so loading is order-stable."""
     bundle = Path(bundle_dir)
     type_files, relation_entries, weight_entries = _schema(bundle)
-    types = {name: _entity_type(bundle, name, f) for name, f in type_files.items()}
+    types = {name: _entity_type(name, bundle / f) for name, f in type_files.items()}
     relations = tuple(_relation(name, types[src], types[dst], bundle / edges_csv)
                       for name, src, dst, edges_csv in relation_entries)
     network = HeteroNetwork(tuple(types.values()), relations)
@@ -332,7 +346,7 @@ def load_entity_type(bundle_dir, name: str) -> EntityType:
     type_files = _schema(bundle)[0]
     if name not in type_files:
         raise NetworkError(f"unknown type {name!r}")
-    return _entity_type(bundle, name, type_files[name])
+    return _entity_type(name, bundle / type_files[name])
 
 
 def save_similarity(state: SimilaritySet, network: HeteroNetwork, path) -> None:
@@ -365,31 +379,26 @@ def save_trace(trace: SolveTrace, path) -> None:
 
 
 def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
+    """Every block of ``network`` from a similarity CSV: unit diagonal, each
+    row setting its cell and the mirrored one, later rows winning."""
     blocks = {t.name: np.eye(t.size) for t in network.types}
     types = {t.name: t for t in network.types}
-    p = Path(path)
 
-    def check(lineno, row):
-        tname, rid, cid, value = row
-        if tname not in types:
-            raise BundleError(f"{p}:{lineno}: unknown type {tname!r}")
-        t = types[tname]
-        if rid not in t.index or cid not in t.index:
-            raise BundleError(f"{p}:{lineno}: unknown entity id")
-        try:
-            _numbers((value,))
-        except _Malformed:
-            raise BundleError(f"{p}:{lineno}: malformed value {value!r}") from None
-
-    with _replay(p, _SIM_HEADER, check):
-        for rows in _row_chunks(p, _SIM_HEADER):
+    def read(chunks):
+        for rows in chunks:
             for tname in {r[0] for r in rows}:
                 if tname not in types:
-                    raise _Malformed
+                    raise _Malformed(f"unknown type {tname!r}")
                 index = types[tname].index
                 _, rids, cids, values = zip(*(r for r in rows if r[0] == tname))
-                _put_symmetric(blocks[tname], positions(rids, index),
-                               positions(cids, index), _numbers(values))
+                try:
+                    i, j = positions(rids, index), positions(cids, index)
+                except KeyError:
+                    raise _Malformed("unknown entity id") from None
+                _put_symmetric(blocks[tname], i, j,
+                               _numbers(values, f"malformed value {values[0]!r}"))
+
+    _read(Path(path), _SIM_HEADER, read)
     return SimilaritySet(blocks)
 
 
@@ -442,23 +451,6 @@ def _plain_lines(path: Path, type_name: str) -> list[bytes]:
     return found
 
 
-def _type_rows(path: Path, type_name: str):
-    """The row ids, column ids and values of ``type_name``'s rows of a
-    similarity CSV, in chunks: from the type's lines alone in a plain file
-    (``_plain_lines``), else from every row, each checked by csv."""
-    try:
-        pieces = _plain_lines(path, type_name)
-    except _NotPlain:
-        for rows in _row_chunks(path, _SIM_HEADER):
-            if rows := [r for r in rows if r[0] == type_name]:
-                _, rids, cids, values = zip(*rows)
-                yield rids, cids, _numbers(values)
-        return
-    for piece in pieces:
-        fields = piece.decode().split(",")
-        yield fields[0::3], fields[1::3], _numbers(fields[2::3])
-
-
 def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     """One block from a similarity CSV without the originating network.
 
@@ -467,25 +459,34 @@ def read_similarity_block(path, type_name: str) -> tuple[list[str], np.ndarray]:
     """
     p = Path(path)
     seen: dict[str, int] = {}
-    parts = []
 
-    def check(lineno, row):
-        if row[0] == type_name:
-            try:
-                _numbers(row[3:])
-            except _Malformed:
-                raise BundleError(f"{p}:{lineno}: malformed value {row[3]!r}") from None
-
-    with _replay(p, _SIM_HEADER, check):
-        for rids, cids, values in _type_rows(p, type_name):
+    def block(parts):
+        """Cell positions and values of (row ids, column ids, values) triples."""
+        cells = []
+        for rids, cids, values in parts:
+            values = _numbers(values, f"malformed value {values[0]!r}")
             for eid in dict.fromkeys(chain.from_iterable(zip(rids, cids))):
                 seen.setdefault(eid, len(seen))
-            parts.append((positions(rids, seen), positions(cids, seen), values))
+            cells.append((positions(rids, seen), positions(cids, seen), values))
+        return cells
+
+    def read(chunks):
+        """``block`` of the type's rows in csv's row chunks."""
+        typed = ([r for r in rows if r[0] == type_name] for rows in chunks)
+        return block(tuple(zip(*rows))[1:] for rows in typed if rows)
+
+    try:  # _plain_lines runs, and may raise _NotPlain, before block
+        fields = (piece.decode().split(",") for piece in _plain_lines(p, type_name))
+        cells = block((f[0::3], f[1::3], f[2::3]) for f in fields)
+    except _NotPlain:
+        cells = _read(p, _SIM_HEADER, read)
+    except _Malformed:
+        _refused(p, _SIM_HEADER, read)
     if not seen:
         raise BundleError(f"{p}: no rows for type {type_name!r}")
-    block = np.eye(len(seen))
-    _put_symmetric(block, *(np.concatenate(c) for c in zip(*parts)))
-    return list(seen), block
+    out = np.eye(len(seen))
+    _put_symmetric(out, *(np.concatenate(c) for c in zip(*cells)))
+    return list(seen), out
 
 
 def save_factors(
@@ -522,28 +523,21 @@ def _read_factor(path: Path, header: list[str], shape: tuple[int, ...]) -> np.nd
     if path.is_file() and 2 * (len(shape) + 1) * math.prod(shape) > path.stat().st_size:
         raise BundleError(f"{path}: shape {shape} needs more rows than the file holds")
     out, seen = np.zeros(shape), np.zeros(math.prod(shape), dtype=bool)
-    axes = len(shape)
+    message = "malformed or out-of-range factor row"
 
-    def check(lineno, row):
-        try:
-            index = [int(x) for x in row[:axes]]
-            _numbers(row[axes:])
-        except (ValueError, _Malformed):
-            index = None
-        if index is None or not all(0 <= i < n for i, n in zip(index, shape)):
-            raise BundleError(f"{path}:{lineno}: malformed or out-of-range factor row")
-
-    with _replay(path, header, check):
-        for rows in _row_chunks(path, header):
+    def read(chunks):
+        for rows in chunks:
             *indices, values = zip(*rows)
             try:
                 flat = np.ravel_multi_index(  # rejects negative indices too
                     [np.array(i, dtype=np.intp) for i in indices], shape
                 )
             except (ValueError, OverflowError):
-                raise _Malformed from None
-            _put(out, flat, _numbers(values))
+                raise _Malformed(message) from None
+            _put(out, flat, _numbers(values, message))
             seen[flat] = True
+
+    _read(path, header, read)
     if not seen.all():
         raise BundleError(f"{path}: no row for {seen.size - seen.sum()} of {seen.size} entries")
     return out
@@ -568,6 +562,7 @@ def load_factors(in_dir, only: str | None = None) -> dict[str, FactoredSimilarit
 
 
 def save_points(points: PointCloud, path) -> None:
+    """Points as CSV: one ``layer,x,y`` row per point, layer by layer."""
     sizes = [len(layer) for layer in points.layers]
     x, y = np.concatenate([*points.layers, np.empty((0, 2))]).T.tolist()
     Path(path).write_text("layer,x,y\r\n" + _csv_text(
@@ -576,23 +571,26 @@ def save_points(points: PointCloud, path) -> None:
 
 
 def load_points(path) -> PointCloud:
-    p, header = Path(path), ["layer", "x", "y"]
-    parts = []
+    """A point cloud from its CSV: one layer per distinct layer number, in
+    ascending order, each holding its points, in [0, 1]^2, in row order."""
+    p, message = Path(path), "malformed point row"
 
-    def check(lineno, row):
-        try:
-            _numbers(row[:1], np.int64), _numbers(row[1:])
-        except _Malformed:
-            raise BundleError(f"{p}:{lineno}: malformed point row") from None
-
-    with _replay(p, header, check):
-        for rows in _row_chunks(p, header):
+    def read(chunks):
+        parts = []
+        for rows in chunks:
             k, x, y = zip(*rows)
-            parts.append((_numbers(k, np.int64), _numbers(x), _numbers(y)))
+            layer = _numbers(k, message, np.int64)
+            xy = np.column_stack([_numbers(x, message), _numbers(y, message)])
+            if ((xy < 0.0) | (xy > 1.0)).any():
+                raise _Malformed("coordinates must lie in [0, 1]")
+            parts.append((layer, xy))
+        return parts
+
+    parts = _read(p, ["layer", "x", "y"], read)
     if not parts:
         raise BundleError(f"{p}: no points")
-    layer, x, y = (np.concatenate(c) for c in zip(*parts))
-    return PointCloud(tuple(np.column_stack([x, y])[layer == k] for k in np.unique(layer)))
+    layer, xy = (np.concatenate(c) for c in zip(*parts))
+    return PointCloud(tuple(xy[layer == k] for k in np.unique(layer)))
 
 
 # Two-stop linear color ramp for heatmaps (low -> high).

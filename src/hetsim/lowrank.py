@@ -113,12 +113,13 @@ class UpdateOperator:
     W oriented toward this type, with its exact diagonal removed.  Symmetric
     by construction.
 
-    An apply is the weight-only part B C^T x, two sparse products counted
-    in ``spmv_count``, plus V G V^T x, with V = [W_1 U_1 | ... | W_m U_m]
-    formed once per operator and G = diag(w_i d_i), less the diagonal times
-    x.  ``entry`` is the type's ``update_plan`` entry, whose ``image`` is
-    the weight-only part of its sketch (of I for an exact-width type),
-    computed once per solve the way an apply computes it.  So the operator
+    An apply is the weight-only part B C^T x, two sparse products, plus
+    V G V^T x, with V = [W_1 U_1 | ... | W_m U_m] formed once per operator
+    in m sparse products and G = diag(w_i d_i), less the diagonal times x.
+    ``spmv_count`` counts every sparse product: m, then two per apply.
+    ``entry`` is the type's ``update_plan`` entry, whose ``image`` is the
+    weight-only part of its sketch (of I for an exact-width type), computed
+    once per solve the way an apply computes it.  So the operator
     applied to that sketch, or taken as an array, needs no sparse product,
     and an equal copy of the sketch gives the same bits, only slower.
     """
@@ -128,7 +129,7 @@ class UpdateOperator:
         self.shape = (self.stacked.shape[0],) * 2
         self.v = np.hstack([oper @ state[p].U for _, oper, p, _, _ in rows])
         self.vg = self.v * np.concatenate([w * state[p].d for w, _, p, _, _ in rows])
-        self.spmv_count = 0
+        self.spmv_count = len(rows)  # the products W_i U_i that form V
         self.shift = self.diagonal()
 
     def apply(self, x: np.ndarray) -> np.ndarray:

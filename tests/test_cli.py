@@ -720,6 +720,42 @@ class TestMissingKeys:
         stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
         assert "not a finite number" in stderr
 
+    def test_schema_negative_weight_is_io_error(self, tmp_path):
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        schema["weights"][0]["weight"] = -0.5
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{path}: entry " in stderr
+        assert "weight -0.5, which is not a finite number >= 0" in stderr
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"type": "Z", "relation": "r"}, "weight for type 'Z': 'r' is not its relation"),
+        ({"type": "A", "relation": "q"}, "weight for type 'A': 'q' is not its relation"),
+        ({"type": "C", "relation": "r"}, "weight for type 'C': 'r' is not its relation"),
+        ({"type": "A", "relation": "r"}, "duplicate weight for type 'A', relation 'r'"),
+    ], ids=["unknown type", "unknown relation", "relation not incident", "repeated pair"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_schema_weight_outside_the_schema_is_io_error(self, tmp_path, entry, message, command):
+        """A weight is refused, not dropped or overwritten, when its type or
+        relation is not in the schema, its relation does not touch its type,
+        or its (type, relation) pair is listed twice."""
+        bundle, path = self._schema(tmp_path)
+        (bundle / "entities_C.csv").write_text("id\nc1\n")
+        schema = json.loads(path.read_text())
+        schema["types"].append({"name": "C", "entities_csv": "entities_C.csv"})
+        path.write_text(json.dumps(schema))
+        dataio.load_network(bundle)  # whole with the extra type
+        schema["weights"].append({**entry, "weight": 0.25})
+        path.write_text(json.dumps(schema))
+        out = tmp_path / "run"
+        stderr = self._exits_with_io_error(
+            ["check", "--bundle", str(bundle)] if command == "check"
+            else ["solve", "--bundle", str(bundle), "--out", str(out)]
+        )
+        assert f"{path}: {message}" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("types", "entities_csv", 3), ("types", "name", ["A"]),
         ("relations", "src", ["A"]), ("relations", "edges_csv", None),

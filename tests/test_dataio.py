@@ -198,6 +198,13 @@ class TestPointsRoundTrip:
         with pytest.raises(BundleError, match=exactly(f"{path}:3: malformed point row")):
             dataio.load_points(path)
 
+    @pytest.mark.parametrize("row", ["0,-0.5,0.5", "1,0.5,1.25", "0,-1e-300,0"])
+    def test_point_outside_the_unit_square_reported_with_line(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"layer,x,y\n0,0.25,0.5\n{row}\n1,0.5,0.5\n")
+        with pytest.raises(BundleError, match=exactly(f"{path}:3: coordinates must lie in [0, 1]")):
+            dataio.load_points(path)
+
 
 class TestHeatmap:
     def test_identity_two_color_field(self, tmp_path):
@@ -624,6 +631,10 @@ class TestStreamingReaderErrors:
         ):
             dataio.load_factors(tmp_path)
 
+    @pytest.mark.parametrize("row", ["0,0.5,x", "0,nan,0.5", "1,0.5,inf", "0.5,0,0"])
+    def test_malformed_point_row(self, tmp_path, chunk, row):
+        TestPointsRoundTrip().test_malformed_row_reported_with_line(tmp_path, row)
+
 
 # -- the similarity block reader against csv ------------------------------------
 
@@ -748,6 +759,75 @@ class TestSimilarityBlockOracle:
         with mock.patch.object(dataio, "_CHUNK_BYTES", len(rows)):
             with pytest.raises(BundleError, match=exactly(f"{path}:3: expected 4 fields")):
                 dataio.read_similarity_block(path, "A")
+
+
+# -- every fault named with its line ----------------------------------------------
+
+# Bytes to splice into a factor, point or similarity file: what csv quotes or
+# splits on, bytes that are not UTF-8, text that no index, value or type name
+# holds, and a field over csv's limit.
+ROW_FAULTS = st.sampled_from(
+    [b'"', b"\r", b"\n", b",", b"\xff", b"x", b"-", b"nan", b"1e999", b"C", OVER_LONG]
+)
+# Errors of a whole file, which no single line causes.
+WHOLE_FILE = ["empty file", "invalid UTF-8 (", "no points", "no row for "]
+
+
+class TestFaultsNamedWithTheirLine:
+    """Any fault spliced into a factor, point or whole-similarity file is
+    named with its file and line, or is an error of the whole file, at any
+    chunk size: the reader and its row-by-row refusal never disagree."""
+
+    @staticmethod
+    def _written(kind, out, data):
+        """A valid file of ``kind`` under ``out``, its path and its reader."""
+        net = data.draw(networks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "factors":
+            states = {}
+            for t in net.types:
+                rank = data.draw(st.integers(0, 2))
+                states[t.name] = FactoredSimilarity(rng.standard_normal((t.size, rank)),
+                                                    rng.standard_normal(rank))
+            dataio.save_factors(states, net, out, seed=0, iterations=1)
+            name = data.draw(st.sampled_from(
+                sorted(f"{x}_{t.name}.csv" for t in net.types for x in "UD")))
+            return out / name, lambda: dataio.load_factors(out)
+        if kind == "points":
+            sizes = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+            dataio.save_points(PointCloud(tuple(rng.random((n, 2)) for n in sizes)),
+                               out / "points.csv")
+            return out / "points.csv", lambda: dataio.load_points(out / "points.csv")
+        state = hetsim.SimilaritySet(
+            {t.name: (lambda a: a + a.T)(rng.random((t.size, t.size))) for t in net.types}
+        )
+        dataio.save_similarity(state, net, out / "similarity.csv")
+        return out / "similarity.csv", lambda: dataio.load_similarity(out / "similarity.csv", net)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["factors", "points", "similarity"]), st.data(),
+           st.lists(st.tuples(st.integers(0), ROW_FAULTS), min_size=1, max_size=3),
+           st.sampled_from([1, 2, 3, None]))
+    def test_fault_named_with_its_line(self, tmp_path_factory, kind, data, splices, chunk):
+        path, read = self._written(kind, tmp_path_factory.mktemp(kind), data)
+        text = path.read_bytes()
+        for at, splice in splices:
+            at %= len(text) + 1
+            text = text[:at] + splice + text[at:]
+        path.write_bytes(text)
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk or dataio._CHUNK_ROWS):
+            try:
+                read()
+            except BundleError as exc:
+                message = str(exc)
+            else:
+                event("the spliced file is valid")
+                return
+        event("whole file" if message.startswith(f"{path}: ") else "named line")
+        assert not message.endswith("unreadable rows")
+        lines = f"{re.escape(str(path))}:[0-9]+: "
+        whole = "|".join(re.escape(f"{path}: {m}") for m in WHOLE_FILE)
+        assert re.match(f"{lines}|{whole}", message), message
 
 
 # -- the bundle loader against the row-by-row one ----------------------------------
