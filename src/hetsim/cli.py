@@ -191,8 +191,12 @@ def cmd_eval_q(args) -> int:
     if not args.bundle or not args.similarity:
         raise ConfigError("eval-q needs either --sweep or both --bundle and --similarity")
     network, _ = dataio.load_network(args.bundle)
-    points = dataio.load_points(Path(args.bundle) / "points.csv")
+    points_csv = Path(args.bundle) / "points.csv"
+    points = dataio.load_points(points_csv)
     state = dataio.load_similarity(args.similarity, network)
+    for k, layer in enumerate(points.layers):  # layer k is type layer{k}, an entity per point
+        if len(state.blocks.get(f"layer{k}", ())) != len(layer):
+            raise dataio.BundleError(f"{points_csv}: layer {k} does not fit the bundle")
     qs = synth.layer_quality(points, state.blocks)
     for k, q in enumerate(qs):
         print(f"Q[layer{k}] = {q:.6g}")

@@ -8,9 +8,9 @@ Every file is written and read in whole-array passes, with the bytes and
 error messages of a row-by-row ``csv`` loop: ids are quoted by the ``csv``
 module and values are formatted with ``%.17g``.  Each format's checks are
 written once, in a ``read(chunks)`` fold that ``_read`` runs over the file;
-on a fault, ``_refused`` feeds the same ``read`` one row at a time to name
-the line.  One similarity block is read from a plain file without csv
-(``_plain_lines``).
+on a fault, ``_refused`` runs the same ``read`` once more, over one-row
+chunks, to name the line.  One similarity block is read from a plain file
+without csv (``_plain_lines``).
 """
 
 from __future__ import annotations
@@ -104,24 +104,29 @@ def _read(path: Path, header: list[str], read, repeated: str | None = None):
 
 
 def _refused(path: Path, header: list[str], read, repeated: str | None = None) -> NoReturn:
-    """The first fault of ``path`` with its line: a wrong field count, a row
-    equal to an earlier one (the message ``repeated.format(*row)``, only if
-    given), or a row that ``read`` refuses as a one-row chunk."""
-    seen = set()
-    with _csv_body(path, header) as reader:
-        for lineno, row in enumerate(reader, start=2):
+    """The first fault of ``path``, named with the line of the row where ``read``
+    stops when run once more over one-row chunks that refuse a wrong field count
+    and, if given, a row equal to an earlier one (``repeated.format(*row)``)."""
+    line, seen = 1, set()
+
+    def rows(reader):
+        nonlocal line
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise BundleError(f"{path}:{lineno}: expected {len(header)} fields")
+                raise _Malformed(f"expected {len(header)} fields")
             if repeated is not None:
                 if tuple(row) in seen:
-                    raise BundleError(f"{path}:{lineno}: {repeated.format(*row)}")
+                    raise _Malformed(repeated.format(*row))
                 seen.add(tuple(row))
-            try:
-                read([[row]])
-            except _Malformed as exc:
-                raise BundleError(f"{path}:{lineno}: {exc}") from None
+            yield [row]
+
+    with _csv_body(path, header) as reader:
+        try:
+            read(rows(reader))
+        except _Malformed as exc:
+            raise BundleError(f"{path}:{line}: {exc}") from None
     raise BundleError(f"{path}: unreadable rows")
 
 
@@ -202,10 +207,10 @@ def _is_weight(value) -> bool:
 
 _STRING = (lambda v: isinstance(v, str), "a string")
 _LIST = (lambda v: isinstance(v, list), "a list")
-_COUNT = (_is_count, "an integer >= 0")
 # What each schema or manifest key holds; every other key holds a string.
 _KINDS = {
-    "types": _LIST, "relations": _LIST, "weights": _LIST, "n": _COUNT, "rank": _COUNT,
+    "types": _LIST, "relations": _LIST, "weights": _LIST, "rank": (_is_count, "an integer >= 0"),
+    "n": (lambda v: _is_count(v) and v >= 1, "an integer >= 1"),
     "weight": (_is_weight, "a finite number >= 0"),
 }
 
@@ -299,8 +304,8 @@ def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None
     """schema.json's entries, each checked for its keys and their JSON types:
     entity files by type name, relations as [name, src, dst, edges_csv] and
     weights as [type, relation, weight] (None without a weights section).
-    Names are checked distinct and each relation's types declared; each
-    weight names a declared type and a relation incident to it, once."""
+    Names are checked distinct and relation types declared; a weight names a
+    type, a relation incident to it (once) and any ``partner`` at its other end."""
     path = bundle / SCHEMA_NAME
     schema = _read_json(path)
     # A schema without types or relations has none.
@@ -315,12 +320,16 @@ def _schema(bundle: Path) -> tuple[dict[str, str], list[list], list[list] | None
             raise BundleError(f"{path}: relation {name!r} references unknown type")
     if "weights" not in schema:
         return type_files, relations, None
-    weights = [_fields(e, path, "type", "relation", "weight")
-               for e in _fields(schema, path, "weights")[0]]
+    entries = _fields(schema, path, "weights")[0]
+    weights = [_fields(e, path, "type", "relation", "weight") for e in entries]
     incident, seen = {name: (src, dst) for name, src, dst, _ in relations}, set()
-    for t, r, _ in weights:
+    for entry, (t, r, _) in zip(entries, weights):
         if t not in incident.get(r, ()):  # an unknown type touches no relation
             raise BundleError(f"{path}: weight for type {t!r}: {r!r} is not its relation")
+        other = incident[r][t == incident[r][0]]  # r's other end; t itself across t -> t
+        if entry.get("partner", other) != other:
+            raise BundleError(
+                f"{path}: weight for type {t!r}, relation {r!r}: partner is not {other!r}")
         if (t, r) in seen:
             raise BundleError(f"{path}: duplicate weight for type {t!r}, relation {r!r}")
         seen.add((t, r))

@@ -1,10 +1,11 @@
 """Scalable solver on factored similarity state S_t ~= I + U_t D_t U_t^T.
 
 Each sweep assembles, per type, a matrix-free self-adjoint update operator
-B M C^T less its exact diagonal and projects it back to rank a_t with a
-randomized eigendecomposition.  Per solve, B comes from the dense coupling
-plan, and C^T, the weight-only diagonal, each type's Gaussian sketch and
-its weight-only image are built once.  Queries evaluate the factored form
+B M C^T less its exact diagonal and projects it back to rank a_t: a
+randomized eigendecomposition, exact (of the operator applied to I) when
+the sketch would fill the block.  Per solve, C^T, the weight-only
+diagonal, each Gaussian sketch and its weight-only image are built once;
+B comes from the dense coupling plan.  Queries evaluate the factored form
 directly and never densify a block.
 """
 
@@ -117,11 +118,11 @@ class UpdateOperator:
     V G V^T x, with V = [W_1 U_1 | ... | W_m U_m] formed once per operator
     in m sparse products and G = diag(w_i d_i), less the diagonal times x.
     ``spmv_count`` counts every sparse product: m, then two per apply.
-    ``entry`` is the type's ``update_plan`` entry, whose ``image`` is the
-    weight-only part of its sketch (of I for an exact-width type), computed
-    once per solve the way an apply computes it.  So the operator
-    applied to that sketch, or taken as an array, needs no sparse product,
-    and an equal copy of the sketch gives the same bits, only slower.
+    ``entry`` is the type's ``update_plan`` entry.  For a sketched type its
+    ``image`` is the weight-only part of the sketch, computed once per solve
+    the way an apply computes it, so the operator applied to that sketch
+    needs no sparse product, and an equal copy of the sketch gives the same
+    bits, only slower.
     """
 
     def __init__(self, entry, state: Mapping[str, FactoredSimilarity]):
@@ -135,29 +136,17 @@ class UpdateOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector or an (n, k) block."""
         block = x.reshape(self.shape[0], -1)
-        base = self.image if x is self.sketch else self._weight_only(block)
-        return self._add_factors(block, base).reshape(x.shape)
+        out = self.vg @ (self.v.T @ block)
+        if x is self.sketch:
+            out += self.image
+        else:
+            self.spmv_count += 2
+            out += _weight_only(self.stacked, self.stacked_t, block)
+        out -= self.shift[:, None] * block
+        return out.reshape(x.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense matrix of the map, its apply to I."""
-        eye = np.eye(self.shape[0])
-        base = self.image if self.sketch is None else self._weight_only(eye)
-        out = self._add_factors(eye, base)
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def _weight_only(self, block: np.ndarray) -> np.ndarray:
-        self.spmv_count += 2
-        return _weight_only(self.stacked, self.stacked_t, block)
-
-    def _add_factors(self, block: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """``base`` plus V G V^T ``block``, less the diagonal times ``block``."""
-        out = self.vg @ (self.v.T @ block)
-        out += base
-        out -= self.shift[:, None] * block
-        return out
 
     def diagonal(self) -> np.ndarray:
         """Exact diagonal of B M C^T: the weight-only part plus the factored
@@ -196,17 +185,17 @@ def _power_basis(y: np.ndarray) -> np.ndarray:
 def randomized_eig(op, rank: int, sketch, power: int = 2):
     """Randomized eigendecomposition of a self-adjoint operator on its sketch.
 
-    ``op`` is anything with a square ``shape``, ``op @ block`` and
-    ``np.asarray(op)``: an ndarray or an ``UpdateOperator``.  The caller's
-    ``sketch`` (n rows, at least ``rank`` columns) sets the range finder's
-    width: ``op @ sketch``, then ``power`` passes that each apply ``op`` to
-    a well-conditioned basis of the last product (one Cholesky step, or
-    Householder QR when that is unsafe), then Householder QR of the last
-    product, so the basis Q is orthonormal to rounding, and an exact
-    eigendecomposition of Q^T op Q.  ``sketch=None`` asks for the exact
-    decomposition of ``op`` itself, taken as ``np.asarray(op)``.  Keeps the
-    ``rank`` eigenpairs largest in magnitude (negative eigenvalues
-    included).  Draws nothing, so it is deterministic given its inputs.
+    ``op`` is anything with a square ``shape`` and ``op @ block``: an
+    ndarray or an ``UpdateOperator``.  The caller's ``sketch`` (n rows, at
+    least ``rank`` columns) sets the range finder's width: ``op @ sketch``,
+    then ``power`` passes that each apply ``op`` to a well-conditioned basis
+    of the last product (one Cholesky step, or Householder QR when that is
+    unsafe), then Householder QR of the last product, so the basis Q is
+    orthonormal to rounding, and an exact eigendecomposition of Q^T op Q.
+    ``sketch=None`` asks for the exact decomposition of ``op`` itself, taken
+    as ``op @ I``, the same apply.  Keeps the ``rank`` eigenpairs largest in
+    magnitude (negative eigenvalues included).  Draws nothing, so it is
+    deterministic given its inputs.
     """
     n = op.shape[0]
     if op.shape != (n, n):
@@ -217,7 +206,7 @@ def randomized_eig(op, rank: int, sketch, power: int = 2):
     if not 1 <= rank <= width <= n:
         raise ValueError(f"need 1 <= rank ({rank}) <= width ({width}) <= n ({n})")
     if sketch is None:  # the range is the whole space: Q = I
-        q, b = None, np.asarray(op, dtype=float)
+        q, b = None, op @ np.eye(n)
     else:
         y = op @ sketch
         for _ in range(power):
@@ -267,9 +256,8 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     and rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the
     weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
     rank clamped to the block, the Gaussian sketch Omega of rank +
-    oversample columns, or None (exact decomposition) when they would fill
-    the block, and the weight-only image B C^T Omega, with Omega = I for an
-    exact-width type."""
+    oversample columns and its weight-only image B C^T Omega, or None and
+    None (exact decomposition) when they would fill the block."""
     table = {}
     for ti, t in enumerate(network.types):
         stacked, rows = plan[t.name]
@@ -283,8 +271,7 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
             sketch = _rng_for(svd.seed, ti).standard_normal((t.size, width))
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
         c_t = c.T.tocsr()
-        omega = np.eye(t.size) if sketch is None else sketch
-        image = _weight_only(stacked, c_t, omega)
+        image = None if sketch is None else _weight_only(stacked, c_t, sketch)
         table[t.name] = (stacked, rows, c_t, diagonal, rank, sketch, image)
     return table
 

@@ -401,6 +401,29 @@ class TestEvalQ:
         code, _, _ = run(["eval-q"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("fault", ["no layer types", "layer of another size"])
+    def test_points_that_do_not_fit_the_bundle_are_io_error(self, tmp_path, capsys, fault):
+        """Layer k of points.csv must be the bundle's type layer{k}, one
+        entity per point: otherwise eval-q names points.csv, exit 4."""
+        layered = tmp_path / "layered"
+        assert run(["synth", "layered", "--counts", "5,4", "--r", "0.5", "--seed", "1",
+                    "--out", str(layered)], capsys)[0] == EXIT_OK
+        bundle = tmp_path / "b"
+        if fault == "no layer types":
+            argv = ["synth", "random", "--K", "2", "--N", "10", "--seed", "1"]
+        else:
+            argv = ["synth", "layered", "--counts", "4,4", "--r", "0.5", "--seed", "1"]
+        assert run([*argv, "--out", str(bundle)], capsys)[0] == EXIT_OK
+        shutil.copy(layered / "points.csv", bundle / "points.csv")
+        net, _ = dataio.load_network(bundle)
+        blocks = hetsim.SimilaritySet({t.name: np.eye(t.size) for t in net.types})
+        dataio.save_similarity(blocks, net, tmp_path / "similarity.csv")
+        code, stdout, stderr = run(["eval-q", "--bundle", str(bundle), "--similarity",
+                                    str(tmp_path / "similarity.csv")], capsys)
+        assert code == EXIT_IO
+        assert f"{bundle / 'points.csv'}: layer 0 does not fit the bundle" in stderr
+        assert "Q =" not in stdout
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_sweep_with_fewer_than_one_trial_is_config_error(self, capsys, trials):
         code, stdout, stderr = run(
@@ -756,6 +779,44 @@ class TestMissingKeys:
         assert f"{path}: {message}" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("partner", ["A", "nonsense", None])
+    def test_schema_weight_partner_not_the_other_type_is_io_error(self, tmp_path, partner):
+        """A weight's ``partner``, if given, is its relation's other type:
+        for type A across r (A -> B), B."""
+        bundle, path = self._schema(tmp_path)
+        schema = json.loads(path.read_text())
+        entry = next(e for e in schema["weights"] if e["type"] == "A")
+        assert entry["partner"] == "B"
+        entry["partner"] = partner
+        path.write_text(json.dumps(schema))
+        stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+        assert f"{path}: weight for type 'A', relation 'r': partner is not 'B'" in stderr
+        del entry["partner"]  # the key is optional
+        path.write_text(json.dumps(schema))
+        loaded, weights = dataio.load_network(bundle)
+        assert weights == hetsim.default_weights(loaded)
+
+    @pytest.mark.parametrize("partner,refused", [("A", False), ("B", True)])
+    def test_schema_weight_partner_across_a_self_relation(self, tmp_path, partner, refused):
+        """Across a self-relation the other type is the type itself."""
+        bundle = tmp_path / "self"
+        net = hetsim.build_network(
+            [("A", ["a1", "a2"]), ("B", ["b1"])],
+            [("s", "A", "A", [("a1", "a2")]), ("r", "A", "B", [("a1", "b1")])],
+        )
+        dataio.save_network(net, bundle, weights=hetsim.default_weights(net))
+        path = bundle / dataio.SCHEMA_NAME
+        schema = json.loads(path.read_text())
+        entry = next(e for e in schema["weights"] if e["relation"] == "s")
+        assert entry["partner"] == "A"
+        entry["partner"] = partner
+        path.write_text(json.dumps(schema))
+        if refused:
+            stderr = self._exits_with_io_error(["check", "--bundle", str(bundle)])
+            assert f"{path}: weight for type 'A', relation 's': partner is not 'A'" in stderr
+        else:
+            assert dataio.load_network(bundle)[1] == hetsim.default_weights(net)
+
     @pytest.mark.parametrize("section,key,value", [
         ("types", "entities_csv", 3), ("types", "name", ["A"]),
         ("relations", "src", ["A"]), ("relations", "edges_csv", None),
@@ -838,11 +899,12 @@ class TestMissingKeys:
         assert f"lacks {key}" in stderr
 
     @pytest.mark.parametrize("key,value,kind", [
-        ("n", None, "an integer >= 0"), ("n", "two", "an integer >= 0"),
-        ("n", -1, "an integer >= 0"), ("n", True, "an integer >= 0"),
+        ("n", None, "an integer >= 1"), ("n", "two", "an integer >= 1"),
+        ("n", -1, "an integer >= 1"), ("n", True, "an integer >= 1"),
         ("rank", [1], "an integer >= 0"), ("rank", 1.0, "an integer >= 0"),
         ("u_csv", 3, "a string"), ("d_csv", None, "a string"),
         ("name", ["A"], "a string"), ("types", 3, "a list"),
+        ("n", 0, "an integer >= 1"),
     ])
     def test_factor_manifest_value_of_wrong_type_is_io_error(self, tmp_path, key, value, kind):
         factors, path = self._manifest(tmp_path)

@@ -635,6 +635,25 @@ class TestStreamingReaderErrors:
     def test_malformed_point_row(self, tmp_path, chunk, row):
         TestPointsRoundTrip().test_malformed_row_reported_with_line(tmp_path, row)
 
+    def test_refusal_runs_the_reader_once_more(self, tmp_path, chunk, monkeypatch):
+        """The fault path names the line of a repeated last edge with one more
+        pass of the edge reader, over one-row chunks: at most two relations
+        are built for the whole file, not one per row."""
+        rows = 3000
+        net = hetsim.build_network(
+            [("A", [f"a{i}" for i in range(rows)]), ("B", ["b"])],
+            [("r", "A", "B", [(f"a{i}", "b") for i in range(rows)])],
+        )
+        dataio.save_network(net, tmp_path)
+        edges = tmp_path / "edges_r.csv"
+        edges.write_text(edges.read_text() + "a0,b\n")  # line rows + 2
+        built, relation = [], dataio.Relation
+        monkeypatch.setattr(dataio, "Relation", lambda *a: built.append(a[0]) or relation(*a))
+        with pytest.raises(BundleError,
+                           match=exactly(f"{edges}:{rows + 2}: duplicate edge 'a0' -> 'b'")):
+            dataio.load_network(tmp_path)
+        assert 1 <= len(built) <= 2
+
 
 # -- the similarity block reader against csv ------------------------------------
 
