@@ -197,6 +197,8 @@ def cmd_eval_q(args) -> int:
     for k, layer in enumerate(points.layers):  # layer k is type layer{k}, an entity per point
         if len(state.blocks.get(f"layer{k}", ())) != len(layer):
             raise dataio.BundleError(f"{points_csv}: layer {k} does not fit the bundle")
+        if len(layer) < 2:  # the layer's quality ranks pairs of other points
+            raise dataio.BundleError(f"{points_csv}: layer {k} has fewer than 2 points")
     qs = synth.layer_quality(points, state.blocks)
     for k, q in enumerate(qs):
         print(f"Q[layer{k}] = {q:.6g}")

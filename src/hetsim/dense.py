@@ -12,6 +12,8 @@ when t is the relation's source, the reverse one when it is the
 destination).  Column-stochastic W and per-type weights summing to 1 make
 the coupling nonexpansive, which is what drives convergence.  The damped
 variant replaces the diagonal reset with uniform (1 - c) I regularization.
+Both solvers over-relax their sweeps while the map contracts slowly
+(``_solve_coupled``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .model import (
     column_stochastic,
     coupling_operators,
 )
+
+
+# Over-relaxation factor of the dense and Lyapunov sweeps (``_solve_coupled``).
+RELAX = 1.25
 
 
 class DivergenceError(RuntimeError):
@@ -101,25 +107,24 @@ def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float
     return out
 
 
-def iterate(state, step, residuals, config: SolverConfig):
-    """The fixed-point loop every solver runs: ``state = step(state)`` until
-    the summed residual drops to ``config.tol`` or ``config.max_iter`` sweeps.
+def iterate(state, step, config: SolverConfig):
+    """The fixed-point loop every solver runs: ``state, per_type = step(state)``
+    until the summed residual drops to ``config.tol`` or ``config.max_iter``
+    sweeps.
 
-    ``residuals(old, new)`` gives the per-type residuals, summed in their
-    order.  Returns the last iterate and its ``SolveTrace``; raises
+    ``per_type`` holds the sweep's per-type residuals, summed in their order.
+    Returns the last iterate and its ``SolveTrace``; raises
     ``DivergenceError`` when the summed residual is not finite, which a
     non-finite iterate after a finite one always makes it.
     """
     trace = SolveTrace()
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
-        new = step(state)
-        per_type = residuals(state, new)
+        state, per_type = step(state)
         res = sum(per_type.values())
         trace.seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res)
         trace.per_type.append(per_type)
-        state = new
         if not np.isfinite(res):
             raise DivergenceError(f"non-finite residual at iteration {trace.iterations}")
         if res <= config.tol:
@@ -174,9 +179,24 @@ def _coupling(t, blocks: dict, plan: dict) -> np.ndarray:
     return stacked @ g
 
 
-def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> SimilaritySet:
+def sweep(
+    network: HeteroNetwork,
+    state: SimilaritySet,
+    plan: dict,
+    damping: float | None = None,
+    relax: float = 1.0,
+    norms: dict | None = None,
+) -> SimilaritySet:
     """One Gauss-Seidel sweep: the blocks are recomputed in ``update_order``,
     each from the newest blocks of its partners.
+
+    A block's plain update T_t(S) is its coupling with the diagonal reset to
+    1, or with ``damping`` c the Lyapunov map c * coupling + (1 - c) I.  With
+    ``norms`` given, each type's block moves ``relax`` times its correction,
+    S_t <- T_t(S) + (relax - 1) (T_t(S) - S_t), and ``norms`` receives the
+    Frobenius norm of the plain correction T_t(S) - S_t, in update order;
+    later types read the moved blocks.  The undamped correction's diagonal
+    is exactly 0, so the diagonal stays exactly 1.
 
     ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` are taken as
     symmetric (``_coupling``) and left as they are; iterates are symmetric
@@ -188,8 +208,20 @@ def sweep(network: HeteroNetwork, state: SimilaritySet, plan: dict) -> Similarit
             raise ValueError(f"state shape mismatch on type {t.name!r}")
     blocks = dict(state.blocks)
     for t in update_order(network):
-        m = blocks[t.name] = _coupling(t, blocks, plan)
-        np.fill_diagonal(m, 1.0)
+        m = _coupling(t, blocks, plan)
+        if damping is None:
+            np.fill_diagonal(m, 1.0)
+        else:
+            m *= damping
+            m[np.diag_indices_from(m)] += 1.0 - damping
+        if norms is not None:
+            d = m - blocks[t.name]
+            norms[t.name] = float(np.linalg.norm(d))
+            if relax != 1.0:
+                d *= relax - 1.0
+                m += d
+            del d  # freed before the next type's coupling allocates, for peak memory
+        blocks[t.name] = m
     return SimilaritySet(blocks)
 
 
@@ -215,20 +247,33 @@ def checked_plan(network, weights, check, damping=None) -> dict:
 
 def _solve_coupled(network, weights, config, check, damping=None):
     """Iterate from S = I: Gauss-Seidel sweeps, or with ``damping`` c the same
-    sweeps of the Lyapunov map S = c * coupling(S) + (1 - c) I."""
+    sweeps of the Lyapunov map S = c * coupling(S) + (1 - c) I.
+
+    Sweeps 1 and 2 are plain.  If the summed residual r_2 is above
+    (RELAX - 1) r_1, the map contracts too slowly for plain sweeps to be
+    the fast choice, and from sweep 3 on every block moves RELAX times its
+    correction (successive over-relaxation; Young 1954).  After sweep 3 the
+    first sweep whose summed residual rises turns relaxation off for good:
+    a spectrum that reaches toward -1 makes relaxed sweeps diverge.  The
+    trace keeps each type's plain-correction norm, so ``tol`` means what it
+    means for plain sweeps.  The decision sums in ``update_order``, so it
+    does not depend on listing order."""
     plan = checked_plan(network, weights, check, damping)
+    sums = []
+    relax = 1.0
 
     def step(state):
-        if damping is None:
-            return sweep(network, state, plan)
-        blocks = dict(state.blocks)
-        for t in update_order(network):
-            m = blocks[t.name] = _coupling(t, blocks, plan)
-            m *= damping
-            m[np.diag_indices_from(m)] += 1.0 - damping
-        return SimilaritySet(blocks)
+        nonlocal relax
+        norms = {}
+        new = sweep(network, state, plan, damping, relax, norms)
+        sums.append(sum(norms.values()))
+        if len(sums) == 2 and sums[1] > (RELAX - 1.0) * sums[0]:
+            relax = RELAX
+        elif len(sums) > 3 and sums[-1] > sums[-2]:
+            relax = 1.0
+        return new, {t.name: norms[t.name] for t in network.types}
 
-    return iterate(SimilaritySet.identity(network), step, residual_by_type, config)
+    return iterate(SimilaritySet.identity(network), step, config)
 
 
 def solve_dense(

@@ -311,9 +311,10 @@ def solve_lowrank(
     config = config or SolverConfig()
     svd = svd or SvdConfig(rank=10)
     table = update_plan(network, checked_plan(network, weights, check), svd)
-    return iterate(
-        {t.name: FactoredSimilarity.identity(t.size) for t in network.types},
-        lambda state: sweep_lowrank(network, state, table, svd.power),
-        lambda old, new: {name: factored_residual(old[name], new[name]) for name in old},
-        config,
-    )
+
+    def step(state):
+        new = sweep_lowrank(network, state, table, svd.power)
+        return new, {name: factored_residual(state[name], new[name]) for name in state}
+
+    identity = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
+    return iterate(identity, step, config)

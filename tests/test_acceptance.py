@@ -1,10 +1,9 @@
 """Acceptance suite: end-to-end checks at stated tolerances.
 
 Each numbered test prints one PASS/FAIL line and asserts the criterion at
-its stated tolerance.  Three criteria (01, 03 and 07) are marked
-xfail(strict): the stated bound or value is not attainable by the
-implemented semantics; the companion tests right after them pin down the
-behavior that does hold.
+its stated tolerance.  Two criteria (03 and 07) are marked xfail(strict):
+the stated bound or value is not attainable by the implemented semantics;
+the companion tests right after them pin down the behavior that does hold.
 """
 
 import filecmp
@@ -59,12 +58,6 @@ def grid_traces():
     return runs
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the undamped iteration converges monotonically on all 200 grid "
-    "instances, but 23 of them still exceed 1e-6 at iteration 50 and the "
-    "slowest needs 74 sweeps (see the companion test below)",
-)
 def test_01_grid_residual_below_1e6_within_50_iterations(grid_traces):
     ok = all(t.converged and t.iterations <= 50 for t in grid_traces)
     ok = report("grid residual < 1e-6 within 50 iterations, all 200 runs", ok)

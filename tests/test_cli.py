@@ -424,6 +424,21 @@ class TestEvalQ:
         assert f"{bundle / 'points.csv'}: layer 0 does not fit the bundle" in stderr
         assert "Q =" not in stdout
 
+    def test_layer_of_one_point_is_io_error(self, tmp_path, capsys):
+        """A layer's quality ranks pairs of other points, so a points.csv
+        layer of one point is named with its file: exit 4, not exit 2."""
+        bundle = tmp_path / "b"
+        assert run(["synth", "layered", "--counts", "3,1", "--r", "0.5", "--seed", "1",
+                    "--out", str(bundle)], capsys)[0] == EXIT_OK
+        net, _ = dataio.load_network(bundle)
+        blocks = hetsim.SimilaritySet({t.name: np.eye(t.size) for t in net.types})
+        dataio.save_similarity(blocks, net, tmp_path / "similarity.csv")
+        code, stdout, stderr = run(["eval-q", "--bundle", str(bundle), "--similarity",
+                                    str(tmp_path / "similarity.csv")], capsys)
+        assert code == EXIT_IO
+        assert f"{bundle / 'points.csv'}: layer 1 has fewer than 2 points" in stderr
+        assert "Q =" not in stdout
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_sweep_with_fewer_than_one_trial_is_config_error(self, capsys, trials):
         code, stdout, stderr = run(
