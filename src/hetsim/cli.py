@@ -170,6 +170,8 @@ def cmd_eval_q(args) -> int:
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
         counts = _parse_counts(args.counts)
+        if min(counts) < 2:  # a layer's quality ranks pairs of other points
+            raise ConfigError(f"--counts needs at least 2 points per layer, got {args.counts!r}")
         grid = _parse_sweep(args.sweep)
         for ridx, r in enumerate(grid):
             qs = []
@@ -254,7 +256,8 @@ def _add_solver_options(p: argparse.ArgumentParser, solvers: list[str]) -> None:
     p.add_argument("--solver", choices=solvers, default="dense")
     p.add_argument("--tol", type=float, default=dense.SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=dense.SolverConfig.max_iter)
-    p.add_argument("--ranks", default="10", help="per-type rank (integer) or 'full'")
+    p.add_argument("--ranks", default=str(lowrank.SvdConfig.rank),
+                   help="per-type rank (integer) or 'full'")
     p.add_argument("--oversample", type=int, default=lowrank.SvdConfig.oversample)
     p.add_argument("--power", type=int, default=lowrank.SvdConfig.power)
     p.add_argument("--seed", type=int, default=None)

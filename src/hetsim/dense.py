@@ -112,7 +112,8 @@ def iterate(state, step, config: SolverConfig):
     until the summed residual drops to ``config.tol`` or ``config.max_iter``
     sweeps.
 
-    ``per_type`` holds the sweep's per-type residuals, summed in their order.
+    ``step`` is a sweep, and ``per_type`` the residuals it returns, recorded
+    in the trace as they are and summed in their order (listing order).
     Returns the last iterate and its ``SolveTrace``; raises
     ``DivergenceError`` when the summed residual is not finite, which a
     non-finite iterate after a finite one always makes it.
@@ -185,18 +186,18 @@ def sweep(
     plan: dict,
     damping: float | None = None,
     relax: float = 1.0,
-    norms: dict | None = None,
-) -> SimilaritySet:
+) -> tuple[SimilaritySet, dict[str, float]]:
     """One Gauss-Seidel sweep: the blocks are recomputed in ``update_order``,
-    each from the newest blocks of its partners.
+    each from the newest blocks of its partners.  Returns the new blocks and
+    each type's residual, keyed in listing order.
 
     A block's plain update T_t(S) is its coupling with the diagonal reset to
-    1, or with ``damping`` c the Lyapunov map c * coupling + (1 - c) I.  With
-    ``norms`` given, each type's block moves ``relax`` times its correction,
-    S_t <- T_t(S) + (relax - 1) (T_t(S) - S_t), and ``norms`` receives the
-    Frobenius norm of the plain correction T_t(S) - S_t, in update order;
-    later types read the moved blocks.  The undamped correction's diagonal
-    is exactly 0, so the diagonal stays exactly 1.
+    1, or with ``damping`` c the Lyapunov map c * coupling + (1 - c) I.  Each
+    type's block moves ``relax`` times its correction, S_t <- T_t(S) +
+    (relax - 1) (T_t(S) - S_t), and its residual is the Frobenius norm of
+    the plain correction T_t(S) - S_t; later types read the moved blocks.
+    The undamped correction's diagonal is exactly 0, so the diagonal stays
+    exactly 1.
 
     ``plan`` is ``coupling_plan``'s result.  Blocks of ``state`` are taken as
     symmetric (``_coupling``) and left as they are; iterates are symmetric
@@ -207,6 +208,7 @@ def sweep(
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")
     blocks = dict(state.blocks)
+    norms = dict.fromkeys(t.name for t in network.types)
     for t in update_order(network):
         m = _coupling(t, blocks, plan)
         if damping is None:
@@ -214,15 +216,14 @@ def sweep(
         else:
             m *= damping
             m[np.diag_indices_from(m)] += 1.0 - damping
-        if norms is not None:
-            d = m - blocks[t.name]
-            norms[t.name] = float(np.linalg.norm(d))
-            if relax != 1.0:
-                d *= relax - 1.0
-                m += d
-            del d  # freed before the next type's coupling allocates, for peak memory
+        d = m - blocks[t.name]
+        norms[t.name] = float(np.linalg.norm(d))
+        if relax != 1.0:
+            d *= relax - 1.0
+            m += d
+        del d  # freed before the next type's coupling allocates, for peak memory
         blocks[t.name] = m
-    return SimilaritySet(blocks)
+    return SimilaritySet(blocks), norms
 
 
 def checked_plan(network, weights, check, damping=None) -> dict:
@@ -255,23 +256,23 @@ def _solve_coupled(network, weights, config, check, damping=None):
     correction (successive over-relaxation; Young 1954).  After sweep 3 the
     first sweep whose summed residual rises turns relaxation off for good:
     a spectrum that reaches toward -1 makes relaxed sweeps diverge.  The
-    trace keeps each type's plain-correction norm, so ``tol`` means what it
-    means for plain sweeps.  The decision sums in ``update_order``, so it
-    does not depend on listing order."""
+    trace keeps the sweep's residuals, each type's plain-correction norm, so
+    ``tol`` means what it means for plain sweeps.  The decision sums them in
+    ``update_order``, so it does not depend on listing order."""
     plan = checked_plan(network, weights, check, damping)
+    order = [t.name for t in update_order(network)]
     sums = []
     relax = 1.0
 
     def step(state):
         nonlocal relax
-        norms = {}
-        new = sweep(network, state, plan, damping, relax, norms)
-        sums.append(sum(norms.values()))
+        new, norms = sweep(network, state, plan, damping, relax)
+        sums.append(sum(norms[name] for name in order))
         if len(sums) == 2 and sums[1] > (RELAX - 1.0) * sums[0]:
             relax = RELAX
         elif len(sums) > 3 and sums[-1] > sums[-2]:
             relax = 1.0
-        return new, {t.name: norms[t.name] for t in network.types}
+        return new, norms
 
     return iterate(SimilaritySet.identity(network), step, config)
 

@@ -87,7 +87,7 @@ class SvdConfig:
     to each block's size, and the oversampling to whatever room remains.
     """
 
-    rank: int
+    rank: int = 10
     oversample: int = 10
     power: int = 2
     seed: int = 0
@@ -278,8 +278,10 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
 
 def sweep_lowrank(
     network: HeteroNetwork, state: Mapping[str, FactoredSimilarity], table: dict, power: int
-) -> dict[str, FactoredSimilarity]:
+) -> tuple[dict[str, FactoredSimilarity], dict[str, float]]:
     """One Gauss-Seidel sweep in factored form, in ``dense.update_order``.
+    Returns the new factors and each type's ``factored_residual`` against
+    ``state``, keyed in listing order.
 
     Per type: assemble the update operator, less its exact diagonal, against
     the partners' newest factors and project it to its rank with ``power``
@@ -288,16 +290,18 @@ def sweep_lowrank(
     there stays I.  ``state`` itself is left as it is.
     """
     new = dict(state)
+    residuals = dict.fromkeys(t.name for t in network.types)
     for t in update_order(network):
-        if t.name not in table:
+        if t.name in table:
+            entry = table[t.name]
+            rank, sketch = entry[4:6]
+            op = build_update_operator(new, entry)
+            u, d = randomized_eig(op, rank, sketch, power)
+            new[t.name] = FactoredSimilarity(u, d)
+        else:
             new[t.name] = FactoredSimilarity.identity(t.size)
-            continue
-        entry = table[t.name]
-        rank, sketch = entry[4:6]
-        op = build_update_operator(new, entry)
-        u, d = randomized_eig(op, rank, sketch, power)
-        new[t.name] = FactoredSimilarity(u, d)
-    return new
+        residuals[t.name] = factored_residual(state[t.name], new[t.name])
+    return new, residuals
 
 
 def solve_lowrank(
@@ -307,14 +311,9 @@ def solve_lowrank(
     svd: SvdConfig | None = None,
     check: bool = True,
 ) -> tuple[dict[str, FactoredSimilarity], SolveTrace]:
-    """Iterate factored sweeps from S = I; residuals stay in factored form."""
+    """Iterate factored sweeps from S = I; each returns its factored residuals."""
     config = config or SolverConfig()
-    svd = svd or SvdConfig(rank=10)
+    svd = svd or SvdConfig()
     table = update_plan(network, checked_plan(network, weights, check), svd)
-
-    def step(state):
-        new = sweep_lowrank(network, state, table, svd.power)
-        return new, {name: factored_residual(state[name], new[name]) for name in state}
-
     identity = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
-    return iterate(identity, step, config)
+    return iterate(identity, lambda state: sweep_lowrank(network, state, table, svd.power), config)

@@ -92,7 +92,7 @@ def test_02_homogeneous_reduction_matches_oracle():
         for _ in range(8):
             oracle = w @ oracle @ w.T
             np.fill_diagonal(oracle, 1.0)
-            state = hetsim.sweep(net, state, plan)
+            state, _ = hetsim.sweep(net, state, plan)
             worst = max(worst, float(np.abs(state["T"] - oracle).max()))
     ok = report(f"homogeneous reduction, worst diff {worst:.3g}", worst <= 1e-12)
     assert ok

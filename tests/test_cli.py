@@ -439,6 +439,21 @@ class TestEvalQ:
         assert f"{bundle / 'points.csv'}: layer 1 has fewer than 2 points" in stderr
         assert "Q =" not in stdout
 
+    @pytest.mark.parametrize("counts", ["1,3", "4,0"])
+    def test_sweep_with_a_layer_below_two_points_is_config_error(
+        self, capsys, monkeypatch, counts
+    ):
+        """A layer's quality ranks pairs of other points, so --counts with a
+        layer below 2 is refused before any network is built."""
+        built = []
+        monkeypatch.setattr(hetsim.synth, "layered_points_graph", built.append)
+        code, stdout, stderr = run(
+            ["eval-q", "--sweep", "0.3:0.3:0.1", "--trials", "1", "--counts", counts], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert "--counts" in stderr
+        assert built == [] and "meanQ" not in stdout
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_sweep_with_fewer_than_one_trial_is_config_error(self, capsys, trials):
         code, stdout, stderr = run(

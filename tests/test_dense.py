@@ -16,7 +16,7 @@ from conftest import networks_relations_weights, single_type_graph
 class TestSweep:
     def test_toy_off_diagonal(self, toy_network, toy_weights):
         state = hetsim.SimilaritySet.identity(toy_network)
-        new = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
+        new, _ = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
         # W S_B W^T with W = [0.5; 0.5] puts 0.25 everywhere before the
         # diagonal reset.
         np.testing.assert_allclose(new["A"], [[1.0, 0.25], [0.25, 1.0]])
@@ -25,7 +25,7 @@ class TestSweep:
     def test_no_relations_is_identity_map(self):
         net = hetsim.build_network([("A", ["a1", "a2", "a3"])], [])
         state = hetsim.SimilaritySet.identity(net)
-        new = sweep(net, state, coupling_plan(net, hetsim.default_weights(net)))
+        new, _ = sweep(net, state, coupling_plan(net, hetsim.default_weights(net)))
         assert np.array_equal(new["A"], np.eye(3))
 
     def test_diagonal_always_one(self):
@@ -38,7 +38,7 @@ class TestSweep:
             m = 0.5 * (m + m.T)
             np.fill_diagonal(m, 1.0)
             blocks[t.name] = m
-        new = sweep(net, hetsim.SimilaritySet(blocks), coupling_plan(net, weights))
+        new, _ = sweep(net, hetsim.SimilaritySet(blocks), coupling_plan(net, weights))
         for t in net.types:
             np.testing.assert_array_equal(np.diag(new[t.name]), 1.0)
 
@@ -48,7 +48,7 @@ class TestSweep:
         state = hetsim.SimilaritySet.identity(net)
         plan = coupling_plan(net, weights)
         for _ in range(5):
-            state = sweep(net, state, plan)
+            state, _ = sweep(net, state, plan)
         for t in net.types:
             np.testing.assert_allclose(
                 state[t.name], state[t.name].T, atol=1e-10
@@ -127,7 +127,7 @@ def explicit_sweep(net, weights, state):
 @given(networks_weights_states())
 def test_sweep_is_the_explicit_weighted_sum(case):
     net, weights, state = case
-    new = sweep(net, state, coupling_plan(net, weights))
+    new, _ = sweep(net, state, coupling_plan(net, weights))
     for name, expected in explicit_sweep(net, weights, state).items():
         np.testing.assert_allclose(new[name], expected, rtol=0, atol=1e-13)
 
@@ -148,7 +148,7 @@ def test_solve_is_chained_sweeps_from_identity():
     state = hetsim.SimilaritySet.identity(net)
     plan = coupling_plan(net, weights)
     for _ in range(2):
-        state = sweep(net, state, plan)
+        state, _ = sweep(net, state, plan)
     blocks = dict(state.blocks)
     for per_type in trace.per_type[2:]:
         for t in dense.update_order(net):
@@ -158,6 +158,35 @@ def test_solve_is_chained_sweeps_from_identity():
             blocks[t.name] = plain + (dense.RELAX - 1) * (plain - blocks[t.name])
     for t in net.types:
         assert np.array_equal(solved[t.name], blocks[t.name])
+
+
+@pytest.mark.parametrize("damping", [None, 0.8], ids=["dense", "lyapunov"])
+def test_bare_sweep_moves_every_block_relax_times_its_correction(damping):
+    """``sweep(..., relax=RELAX)`` on its own: each block in ``update_order``
+    moves RELAX times its plain correction, later types reading the moved
+    blocks, and the sweep returns the plain corrections' norms keyed in
+    listing order (here the reverse of update order)."""
+    base = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=20, seed=3))
+    net = hetsim.build_network(
+        [(t.name, t.ids) for t in reversed(base.types)],
+        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in base.relations],
+    )
+    plan = coupling_plan(net, hetsim.default_weights(net))
+    state, _ = sweep(net, hetsim.SimilaritySet.identity(net), plan, damping)
+    new, norms = sweep(net, state, plan, damping, relax=dense.RELAX)
+    assert list(norms) == [t.name for t in net.types] != [t.name for t in dense.update_order(net)]
+    blocks = dict(state.blocks)
+    for t in dense.update_order(net):
+        plain = dense._coupling(t, blocks, plan)
+        if damping is None:
+            np.fill_diagonal(plain, 1.0)
+        else:
+            plain *= damping
+            plain[np.diag_indices_from(plain)] += 1.0 - damping
+        assert norms[t.name] == np.linalg.norm(plain - blocks[t.name])
+        blocks[t.name] = plain + (dense.RELAX - 1) * (plain - blocks[t.name])
+        assert np.array_equal(new[t.name], blocks[t.name])
+        assert not np.array_equal(new[t.name], plain)
 
 
 def test_fast_contracting_map_is_never_relaxed():
@@ -174,7 +203,7 @@ def test_fast_contracting_map_is_never_relaxed():
     state = hetsim.SimilaritySet.identity(net)
     plan = coupling_plan(net, weights)
     for _ in range(trace.iterations):
-        state = sweep(net, state, plan)
+        state, _ = sweep(net, state, plan)
     for t in net.types:
         assert np.array_equal(solved[t.name], state[t.name])
 
@@ -248,14 +277,18 @@ def networks_and_reorderings(draw):
     return net, reordered
 
 
+@pytest.mark.parametrize(
+    "solve", [hetsim.solve_dense, hetsim.solve_lyapunov], ids=["dense", "lyapunov"]
+)
 @settings(max_examples=25, deadline=None)
-@given(networks_and_reorderings())
-def test_solution_does_not_depend_on_listing_order(case):
+@given(case=networks_and_reorderings())
+def test_solution_does_not_depend_on_listing_order(case, solve):
     # The plan stacks a type's sides in the order of its incident relations,
-    # so reordering moves only the summation order of each coupling.
+    # so reordering moves only the summation order of each coupling.  The
+    # relaxation decision sums in update order, so it moves no sweep either.
     config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
     (first, trace), (second, again) = (
-        hetsim.solve_dense(net, hetsim.default_weights(net), config) for net in case
+        solve(net, hetsim.default_weights(net), config) for net in case
     )
     assert trace.iterations == again.iterations
     for name, block in first.blocks.items():
@@ -424,7 +457,7 @@ class TestSolveDense:
         state, _ = hetsim.solve_dense(
             toy_network, toy_weights, hetsim.SolverConfig(tol=1e-14)
         )
-        again = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
+        again, _ = sweep(toy_network, state, coupling_plan(toy_network, toy_weights))
         assert residual(state, again) <= 1e-13
 
     def test_permutation_relation_fixes_identity(self):
@@ -484,7 +517,7 @@ class TestSolveDense:
             for _ in range(8):
                 oracle = w @ oracle @ w.T
                 np.fill_diagonal(oracle, 1.0)
-                state = sweep(net, state, plan)
+                state, _ = sweep(net, state, plan)
                 assert np.abs(state["T"] - oracle).max() <= 1e-12
 
     def test_condition_failure_raises_unless_overridden(self, toy_network):

@@ -364,11 +364,16 @@ class TestSweepLowrank:
         assert trace.iterations == 4
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         table = update_plan(net, coupling_plan(net, weights), svd)
+        chained = []
         for _ in range(4):
-            state = sweep_lowrank(net, state, table, svd.power)
+            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            chained.append(residuals)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
+        # The trace holds each sweep's own residuals, keyed in listing order.
+        assert trace.per_type == chained
+        assert all(list(r) == [t.name for t in net.types] for r in chained)
 
     def test_each_sketch_drawn_once_per_solve(self, monkeypatch):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=30, seed=2))
@@ -425,7 +430,7 @@ class TestSweepLowrank:
         state = {"A": FactoredSimilarity.identity(2)}
         svd = hetsim.SvdConfig(rank=1)
         table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), svd)
-        new = sweep_lowrank(net, state, table, svd.power)
+        new, _ = sweep_lowrank(net, state, table, svd.power)
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
 
@@ -442,8 +447,8 @@ class TestSweepLowrank:
         fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         dstate = hetsim.SimilaritySet.identity(net)
         for _ in range(3):
-            fstate = sweep_lowrank(net, fstate, table, cfg.power)
-            dstate = hetsim.dense.sweep(net, dstate, plan)
+            fstate, _ = sweep_lowrank(net, fstate, table, cfg.power)
+            dstate, _ = hetsim.dense.sweep(net, dstate, plan)
             for t in net.types:
                 diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
                 assert diff <= 1e-10
