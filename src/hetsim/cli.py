@@ -32,14 +32,21 @@ class ConfigError(ValueError):
     pass
 
 
-def _seed_default() -> int:
-    env = os.environ.get("HETSIM_SEED")
-    if env is None:
-        return 0
+def _seed(flag: int | None) -> int:
+    """The effective seed: ``--seed``, else HETSIM_SEED, else 0; refused,
+    naming its source, unless it is an integer >= 0."""
+    if flag is not None:
+        if flag < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {flag}")
+        return flag
+    env = os.environ.get("HETSIM_SEED", "0")
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
-        raise ConfigError(f"HETSIM_SEED must be an integer, got {env!r}") from None
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"HETSIM_SEED must be an integer >= 0, got {env!r}")
+    return seed
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
@@ -330,8 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _seed_default()
+        if hasattr(args, "seed"):
+            args.seed = _seed(args.seed)
         _echo_config(args.command, args)
         return args.func(args)
     except (dataio.BundleError, OSError) as exc:

@@ -5,8 +5,10 @@ B M C^T less its exact diagonal and projects it back to rank a_t: a
 randomized eigendecomposition, exact (of the operator applied to I) when
 the sketch would fill the block.  Per solve, C^T, the weight-only
 diagonal, each Gaussian sketch and its weight-only image are built once;
-B comes from the dense coupling plan.  Queries evaluate the factored form
-directly and never densify a block.
+B comes from the dense coupling plan.  Once the sweeps contract slowly, a
+solve Anderson-mixes their inputs from its last few factored images,
+re-truncated to each type's rank, and still stops on a plain image.
+Queries evaluate the factored form directly and never densify a block.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ class SvdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.oversample < 0 or self.power < 0:
-            raise ValueError("oversample and power must be nonnegative")
-        if not isinstance(self.rank, (int, np.integer)) or self.rank < 1:
-            raise ValueError(f"rank must be one integer of at least 1, got {self.rank!r}")
+        for name, least in (("rank", 1), ("oversample", 0), ("power", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be one integer of at least {least}, got {value!r}")
 
 
 def _weight_only(stacked, stacked_t, x: np.ndarray) -> np.ndarray:
@@ -162,6 +164,14 @@ def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> Upd
 
 _PIVOT_FLOOR = 1e-6
 
+# Anderson mixing of the low-rank sweeps (``solve_lowrank``): the history
+# depth m of AA(m), the sweep-over-sweep ratio of summed residuals above
+# which a sweep counts as slow, and the number of residual rises after
+# which mixing stops for good.
+MIX_DEPTH = 3
+SLOW_RATIO = 0.7
+MAX_RISES = 3
+
 
 def _power_basis(y: np.ndarray) -> np.ndarray:
     """A well-conditioned basis of range(y) for the next power pass.
@@ -216,9 +226,15 @@ def randomized_eig(op, rank: int, sketch, power: int = 2):
     if not np.isfinite(b).all():
         raise DivergenceError("non-finite values in the projected operator")
     b = 0.5 * (b + b.T)
-    lam, v = np.linalg.eigh(b)
+    v, lam = _largest(*np.linalg.eigh(b), rank)
+    return (v if q is None else q @ v), lam
+
+
+def _largest(lam: np.ndarray, v: np.ndarray, rank: int):
+    """The ``rank`` eigenpairs of ``eigh``'s (lam, v) largest in magnitude,
+    negative ones included, as (vectors, values)."""
     order = np.argsort(-np.abs(lam), kind="stable")[:rank]
-    return (v[:, order] if q is None else q @ v[:, order]), lam[order]
+    return v[:, order], lam[order]
 
 
 def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
@@ -238,12 +254,59 @@ def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _correction(old: FactoredSimilarity, new: FactoredSimilarity):
+    """new - old as (Q, C) with new - old = Q C Q^T, for Anderson inner
+    products (``_inner``).
+
+    ``new.U`` must have orthonormal columns.  With P = U'^T U and
+    U - U' P = Q_e R_e (Householder), Q = [U' | Q_e] and U = Q [P; R_e], so
+    C = diag(D', 0) - [P; R_e] D [P; R_e]^T.  Like ``factored_residual``, no
+    entry of C is a difference of large terms except D' - P D P^T, so equal
+    factor pairs give a C at rounding level; stacking [U' | U] with weights
+    [D', -D] instead cancels terms of size |d|^2 in every inner product."""
+    p = new.U.T @ old.U
+    q_e, r_e = np.linalg.qr(old.U - new.U @ p)
+    k = np.vstack([p, r_e])
+    core = -(k * old.d) @ k.T
+    core[: new.rank, : new.rank] += np.diag(new.d)
+    return np.hstack([new.U, q_e]), core
+
+
+def _inner(first, second) -> float:
+    """Frobenius inner product of two ``_correction`` pairs (Q1, C1) and
+    (Q2, C2): tr(C1 M C2 M^T) with M = Q1^T Q2, exact for any Q1 and Q2."""
+    (q1, c1), (q2, c2) = first, second
+    m = q1.T @ q2
+    return float(np.vdot(c1, m @ c2 @ m.T))
+
+
+def _anderson_weights(gram: np.ndarray) -> np.ndarray:
+    """The weights alpha, summing to 1, that minimize ||sum_j alpha_j f_j||
+    given the Gram matrix of the f_j: alpha proportional to gram^-1 1, by
+    least squares in case the Gram matrix is singular."""
+    w = np.linalg.lstsq(gram, np.ones(len(gram)), rcond=None)[0]
+    return w / w.sum()
+
+
+def _mix(images: list, alpha: np.ndarray, rank: int) -> FactoredSimilarity:
+    """I + sum_j alpha_j U_j D_j U_j^T re-truncated to ``rank``: Householder
+    QR of [U_0 ... U_m] = Q R, ``eigh`` of the core R diag(alpha_j d_j) R^T,
+    and its ``rank`` eigenpairs largest in magnitude, as ``randomized_eig``
+    keeps them."""
+    q, r = np.linalg.qr(np.hstack([f.U for f in images]))
+    core = (r * np.concatenate([a * f.d for a, f in zip(alpha, images)])) @ r.T
+    v, lam = _largest(*np.linalg.eigh(core), rank)
+    return FactoredSimilarity(q @ v, lam)
+
+
 def _rng_for(seed: int, type_index: int):
     # Independent, seed-derived stream per type.  A solve draws each type's
     # sketch from it once and reuses that sketch on every sweep, so the solve
     # iterates one fixed deterministic truncated map; re-sketching per sweep
     # would keep re-sampling the discarded tail and the residual would jitter
-    # at the truncation level forever.  A full-width type draws nothing.
+    # at the truncation level forever.  Anderson mixing changes only the
+    # inputs the map is applied to, not the map, so its limit is still a
+    # fixed point of that one map.  A full-width type draws nothing.
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(type_index,))
     )
@@ -311,9 +374,63 @@ def solve_lowrank(
     svd: SvdConfig | None = None,
     check: bool = True,
 ) -> tuple[dict[str, FactoredSimilarity], SolveTrace]:
-    """Iterate factored sweeps from S = I; each returns its factored residuals."""
+    """Iterate factored sweeps from S = I, Anderson-mixing their inputs once
+    the map contracts slowly.
+
+    Each step sweeps its input x_k and returns the plain image G(x_k) with
+    the per-type ``factored_residual(x_k, G(x_k))``, so ``tol`` and the trace
+    mean what they mean for plain sweeps.  Inputs are the last image until
+    the summed residual (in ``update_order``) has fallen by a ratio above
+    SLOW_RATIO on three consecutive sweeps.  From that sweep on, each pair
+    (x_k, G(x_k)) joins a history of at most MIX_DEPTH + 1, and the next input
+    mixes the history's images (type-II Anderson mixing; Anderson 1965,
+    Walker & Ni 2011): per type, I + sum_j alpha_j U_j D_j U_j^T re-truncated
+    to the type's rank (``_mix``), with sum alpha = 1 minimizing the summed
+    norm of sum_j alpha_j (G(x_j) - x_j).  At a limit every image is the
+    same, so the limit is a fixed point of the plain truncated map.  A sweep
+    whose summed residual rises drops the history, so the next input is
+    that sweep's image; the MAX_RISES-th rise turns mixing off for good.
+    """
     config = config or SolverConfig()
     svd = svd or SvdConfig()
     table = update_plan(network, checked_plan(network, weights, check), svd)
+    order = [t.name for t in update_order(network) if t.name in table]
+    history, sums = [], []  # history: (image, its corrections by type), oldest first
+    gram, rises = np.zeros((0, 0)), 0
+
+    def remember(state, new):
+        nonlocal gram
+        parts = {name: _correction(state[name], new[name]) for name in order}
+        history.append((new, parts))
+        row = [sum(_inner(parts[name], h[1][name]) for name in order) for h in history]
+        grown = np.empty((len(row),) * 2)
+        grown[:-1, :-1] = gram
+        grown[-1] = grown[:, -1] = row
+        gram = grown
+        if len(history) > MIX_DEPTH + 1:
+            del history[0]
+            gram = gram[1:, 1:]
+
+    def step(state):
+        nonlocal gram, rises
+        if len(history) > 1:
+            alpha = _anderson_weights(gram)
+            state = dict(state)
+            for name in order:
+                state[name] = _mix([h[0][name] for h in history], alpha, table[name][4])
+        new, residuals = sweep_lowrank(network, state, table, svd.power)
+        sums.append(sum(residuals[name] for name in order))
+        if history and sums[-1] > sums[-2]:
+            rises += 1
+            history.clear()
+            gram = np.zeros((0, 0))
+            if rises < MAX_RISES:
+                remember(state, new)
+        elif history or not rises and len(sums) > 3 and all(
+            sums[i] > SLOW_RATIO * sums[i - 1] for i in (-1, -2, -3)
+        ):
+            remember(state, new)
+        return new, residuals
+
     identity = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
-    return iterate(identity, lambda state: sweep_lowrank(network, state, table, svd.power), config)
+    return iterate(identity, step, config)

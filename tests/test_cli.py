@@ -342,6 +342,31 @@ class TestSynth:
         for f in sorted((tmp_path / "env").iterdir()):
             assert f.read_bytes() == (tmp_path / "flag" / f.name).read_bytes()
 
+    @pytest.mark.parametrize("argv, env, source", [
+        (["solve", "--bundle", "b", "--out", "o", "--solver", "lowrank", "--seed", "-1"],
+         None, "--seed must be an integer >= 0, got -1"),
+        (["synth", "random", "--K", "3", "--N", "20", "--seed", "-3", "--out", "o"],
+         None, "--seed must be an integer >= 0, got -3"),
+        (["synth", "random", "--K", "3", "--N", "20", "--out", "o"],
+         "-3", "HETSIM_SEED must be an integer >= 0, got '-3'"),
+        (["solve", "--bundle", "b", "--out", "o", "--solver", "lowrank"],
+         "x", "HETSIM_SEED must be an integer >= 0, got 'x'"),
+        # The flag is checked, not the variable it overrides.
+        (["synth", "random", "--K", "3", "--N", "20", "--seed", "-3", "--out", "o"],
+         "2", "--seed must be an integer >= 0, got -3"),
+    ])
+    def test_negative_seed_refused_before_any_work(self, argv, env, source, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("HETSIM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("HETSIM_SEED", env)
+        code, stdout, stderr = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert stderr == f"error: {source}\n"
+        assert stdout == "" and not (tmp_path / "o").exists()  # not even the config echo
+
 
 class TestEvalQ:
     def test_collinear_fixture_prints_one_third(self, tmp_path, capsys):

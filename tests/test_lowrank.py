@@ -555,6 +555,188 @@ class TestSolveLowrank:
             assert np.array_equal(s1[name].d, s2[name].d)
 
 
+@st.composite
+def random_networks(draw):
+    """``synth random`` networks of 2-4 types of up to 30 entities, with
+    default weights."""
+    spec = hetsim.RandomNetworkSpec(
+        k=draw(st.integers(2, 4)), n=draw(st.integers(8, 30)), seed=draw(st.integers(0, 2**32 - 1))
+    )
+    try:
+        net = hetsim.random_network(spec)
+    except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+        assume(False)
+    return net, hetsim.default_weights(net)
+
+
+def forced_mixing(mp):
+    """Open the Anderson gate on every residual fall: mixing starts at the
+    earliest sweep the gate reads (sweep 4), so sweep 6's input is mixed."""
+    mp.setattr(lowrank, "SLOW_RATIO", 0.0)
+
+
+def mixed_sweeps(monkeypatch):
+    """Record the sweeps whose input a solve mixes: the 1-based index of each
+    sweep that ``_anderson_weights`` runs before."""
+    sweeps, mixed = [], []
+    sweep, weights = lowrank.sweep_lowrank, lowrank._anderson_weights
+    monkeypatch.setattr(lowrank, "sweep_lowrank", lambda *a: sweeps.append(1) or sweep(*a))
+    monkeypatch.setattr(lowrank, "_anderson_weights",
+                        lambda g: mixed.append(len(sweeps) + 1) or weights(g))
+    return mixed
+
+
+def expected_mixed_sweeps(sums):
+    """The mixing policy replayed on a solve's summed residuals: the sweeps
+    whose input mixes two or more (input, image) pairs, and the sweep whose
+    residual rise turned mixing off, or None."""
+    depth, rises, mixed, off = 0, 0, [], None
+    for k in range(len(sums)):
+        if depth > 1:
+            mixed.append(k + 1)
+        if depth and sums[k] > sums[k - 1]:
+            rises += 1
+            depth = int(rises < lowrank.MAX_RISES)
+            off = off if depth else k + 1
+        elif depth or not rises and k >= 3 and all(
+            sums[i] > lowrank.SLOW_RATIO * sums[i - 1] for i in (k, k - 1, k - 2)
+        ):
+            depth = min(depth + 1, lowrank.MIX_DEPTH + 1)
+    return mixed, off
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_biblio_converges_fast_to_the_plain_sweeps_limit(self, seed):
+        from test_acceptance import BIBLIO_TINY, biblio_network
+
+        net = biblio_network(42 + seed, BIBLIO_TINY)
+        weights = hetsim.default_weights(net)
+        svd = hetsim.SvdConfig(rank=8, oversample=10, power=2, seed=0)
+        solved, trace = hetsim.solve_lowrank(
+            net, weights, hetsim.SolverConfig(tol=1e-12, max_iter=40), svd
+        )
+        assert trace.converged
+        table = update_plan(net, coupling_plan(net, weights), svd)
+        state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        for sweeps in range(1, 1000):  # plain sweeps take over 200 here
+            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            if sum(residuals.values()) <= 1e-12:
+                break
+        assert sweeps > 5 * trace.iterations
+        for name, f in solved.items():
+            assert np.abs(f.dense() - state[name].dense()).max() <= 1e-10
+
+    def test_a_solve_of_five_sweeps_is_plain_even_when_forced(self, monkeypatch):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
+        weights = hetsim.default_weights(net)
+        svd = hetsim.SvdConfig(rank=5, seed=7)
+        forced_mixing(monkeypatch)
+        mixed = mixed_sweeps(monkeypatch)
+        table = update_plan(net, coupling_plan(net, weights), svd)
+        state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
+        chained = []
+        for _ in range(6):
+            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            chained.append(residuals)
+        mixed.clear()  # the chained sweeps above went through the recorder too
+        solved, trace = hetsim.solve_lowrank(
+            net, weights, hetsim.SolverConfig(tol=1e-300, max_iter=6), svd
+        )
+        assert mixed == [6]
+        assert trace.per_type[:5] == chained[:5] and trace.per_type[5] != chained[5]
+        assert any(not np.array_equal(f.U, state[name].U) for name, f in solved.items())
+
+    def test_safeguard_restarts_then_switches_off(self, monkeypatch):
+        # README's quickstart: synth random --K 3 --N 50 --seed 1, solved at
+        # rank 10, seed 1, tol 1e-6.  The residual rises at the first mixed
+        # sweep and on the two plain sweeps after it; later sweeps contract
+        # slowly enough for the gate to fire again, had the third rise not
+        # turned it off.
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=50, seed=1))
+        mixed = mixed_sweeps(monkeypatch)
+        _, trace = hetsim.solve_lowrank(
+            net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-6, max_iter=200),
+            hetsim.SvdConfig(rank=10, seed=1),
+        )
+        assert trace.converged
+        # The policy sums in update (name) order.
+        sums = [sum(p[name] for name in sorted(p)) for p in trace.per_type]
+        expected, off = expected_mixed_sweeps(sums)
+        assert mixed == expected and mixed and off
+        after = sums[off:]
+        assert any(
+            all(after[i] > lowrank.SLOW_RATIO * after[i - 1] for i in (j, j - 1, j - 2))
+            for j in range(3, len(after))
+        )
+
+    def test_equal_factor_pairs_give_a_gram_entry_at_rounding(self):
+        for u, d in TestSolveLowrank._orthonormal_pairs():
+            f = FactoredSimilarity(u, d)
+            zero = lowrank._correction(f, FactoredSimilarity(u.copy(), d.copy()))
+            assert abs(lowrank._inner(zero, zero)) <= (1e-12 * 30) ** 2
+
+    def test_corrections_and_inner_products_match_dense(self):
+        rng = np.random.default_rng(3)
+        n = 30
+        pairs = []
+        for k1, k2 in [(4, 6), (5, 5), (0, 3), (6, 2)]:
+            u1, _ = np.linalg.qr(rng.standard_normal((n, k1)))
+            u2, _ = np.linalg.qr(rng.standard_normal((n, k2)))
+            old = FactoredSimilarity(u1, rng.standard_normal(k1))
+            new = FactoredSimilarity(u2, rng.standard_normal(k2))
+            q, c = part = lowrank._correction(old, new)
+            np.testing.assert_allclose(q @ c @ q.T, new.dense() - old.dense(), atol=1e-12)
+            pairs.append((part, new.dense() - old.dense()))
+        for first, a in pairs:
+            for second, b in pairs:
+                assert lowrank._inner(first, second) == pytest.approx(np.vdot(a, b), abs=1e-11)
+
+    def test_mix_of_equal_images_is_the_image(self):
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+        f = FactoredSimilarity(u, rng.uniform(-30, 30, 6))
+        mixed = lowrank._mix([f] * 4, np.array([0.7, -0.4, 1.2, -0.5]), 6)
+        np.testing.assert_allclose(mixed.dense(), f.dense(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed.U.T @ mixed.U, np.eye(6), rtol=0, atol=1e-14)
+
+    def test_weights_minimize_the_mixed_correction(self):
+        rng = np.random.default_rng(8)
+        fs = rng.standard_normal((4, 50)) * np.array([[1], [1e-2], [1e-4], [1e-6]])
+        alpha = lowrank._anderson_weights(fs @ fs.T)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-14)
+        best = np.linalg.norm(alpha @ fs)
+        for _ in range(100):
+            other = alpha + 1e-3 * rng.standard_normal(4)
+            other += (1.0 - other.sum()) / 4
+            assert np.linalg.norm(other @ fs) >= best
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(networks_relations_weights(), random_networks()))
+    def test_forced_full_rank_solve_agrees_with_dense(self, case):
+        """``test_full_rank_solve_agrees_with_dense`` with mixing forced on, also
+        over ``random_networks``, whose solves run past the five plain sweeps:
+        the mixed full-rank solve reaches the dense fixed point to 1e-6."""
+        net, weights = case
+        assume(hetsim.check_convergence_conditions(net, weights).ok)
+        config = hetsim.SolverConfig(tol=1e-10, max_iter=500)
+        dstate, dtrace = hetsim.solve_dense(net, weights, config)
+        rank = max(t.size for t in net.types)
+        with pytest.MonkeyPatch.context() as mp:
+            forced_mixing(mp)
+            fstate, ftrace = hetsim.solve_lowrank(
+                net, weights, config, hetsim.SvdConfig(rank=rank, oversample=0)
+            )
+        if ftrace.iterations > 5:
+            event("mixed")
+        if not (dtrace.converged and ftrace.converged):
+            event("an ok draw did not converge")
+        assume(dtrace.converged and ftrace.converged)
+        for t in net.types:
+            diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
+            assert diff <= 1e-6
+
+
 class TestQueries:
     def _state(self):
         rng = np.random.default_rng(10)
@@ -619,6 +801,22 @@ class TestSvdConfig:
             with pytest.raises(ValueError, match="rank must be one integer"):
                 hetsim.SvdConfig(rank=rank)
         assert hetsim.SvdConfig(rank=np.int64(3)).rank == 3
+
+    @pytest.mark.parametrize("name, value", [
+        ("rank", True), ("rank", 2.0), ("oversample", 2.5), ("oversample", True),
+        ("oversample", -1), ("power", 1.5), ("power", False), ("power", -1),
+        ("seed", -1), ("seed", 3.0), ("seed", True), ("seed", "0"),
+    ])
+    def test_knobs_are_integers_not_bools(self, name, value):
+        # oversample 2.5 and power 1.5 used to raise a TypeError inside
+        # update_plan, and rank True solved at rank 1.
+        with pytest.raises(ValueError, match=f"^{name} must be one integer of at least"):
+            hetsim.SvdConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        svd = hetsim.SvdConfig(rank=np.int64(3), oversample=np.int32(0), power=np.int8(1),
+                               seed=np.uint32(5))
+        assert (svd.rank, svd.oversample, svd.power, svd.seed) == (3, 0, 1, 5)
 
     def test_rank_clamped_to_size(self):
         net = hetsim.build_network(
