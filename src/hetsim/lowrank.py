@@ -5,8 +5,8 @@ B M C^T less its exact diagonal and projects it back to rank a_t: a
 randomized eigendecomposition, exact (of the operator applied to I) when
 the sketch would fill the block.  Per solve, C^T, the weight-only
 diagonal, each Gaussian sketch and its weight-only image are built once;
-B comes from the dense coupling plan.  Once the sweeps contract slowly, a
-solve Anderson-mixes their inputs from its last few factored images,
+B comes from the dense coupling plan.  From its sixth sweep on, a solve
+Anderson-mixes the sweep inputs from its last few factored images,
 re-truncated to each type's rank, and still stops on a plain image.
 Queries evaluate the factored form directly and never densify a block.
 """
@@ -165,11 +165,9 @@ def build_update_operator(state: Mapping[str, FactoredSimilarity], entry) -> Upd
 _PIVOT_FLOOR = 1e-6
 
 # Anderson mixing of the low-rank sweeps (``solve_lowrank``): the history
-# depth m of AA(m), the sweep-over-sweep ratio of summed residuals above
-# which a sweep counts as slow, and the number of residual rises after
-# which mixing stops for good.
+# depth m of AA(m) and the number of residual rises after which mixing
+# stops for good.
 MIX_DEPTH = 3
-SLOW_RATIO = 0.7
 MAX_RISES = 3
 
 
@@ -237,32 +235,14 @@ def _largest(lam: np.ndarray, v: np.ndarray, rank: int):
     return v[:, order], lam[order]
 
 
-def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
-    """Frobenius distance between two factored blocks without densifying.
+def _correction(old: FactoredSimilarity, new: FactoredSimilarity):
+    """new - old as (Q, C) with new - old = Q C Q^T, without densifying.
 
     ``new.U`` must have orthonormal columns, as ``randomized_eig`` returns.
-    With P = U'^T U, E = U - U' P and G = E^T E, || U' D' U'^T - U D U^T ||_F^2
-    is ||D' - P D P^T||^2 + 2 <(P D) G, P D> + <G D, (G D)^T>: no term is a
-    difference of large ones, so equal factor pairs read near 0."""
-    p = new.U.T @ old.U
-    e = old.U - new.U @ p
-    g = e.T @ e
-    pd, gd = p * old.d, g * old.d
-    core = pd @ p.T
-    core.flat[:: core.shape[0] + 1] -= new.d  # P D P^T - D'
-    val = np.vdot(core, core) + 2 * np.vdot(pd @ g, pd) + np.vdot(gd, gd.T)
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def _correction(old: FactoredSimilarity, new: FactoredSimilarity):
-    """new - old as (Q, C) with new - old = Q C Q^T, for Anderson inner
-    products (``_inner``).
-
-    ``new.U`` must have orthonormal columns.  With P = U'^T U and
-    U - U' P = Q_e R_e (Householder), Q = [U' | Q_e] and U = Q [P; R_e], so
-    C = diag(D', 0) - [P; R_e] D [P; R_e]^T.  Like ``factored_residual``, no
-    entry of C is a difference of large terms except D' - P D P^T, so equal
-    factor pairs give a C at rounding level; stacking [U' | U] with weights
+    With P = U'^T U and U - U' P = Q_e R_e (Householder), Q = [U' | Q_e] and
+    U = Q [P; R_e], so C = diag(D', 0) - [P; R_e] D [P; R_e]^T.  No entry of
+    C is a difference of large terms except D' - P D P^T, so equal factor
+    pairs give a C at rounding level; stacking [U' | U] with weights
     [D', -D] instead cancels terms of size |d|^2 in every inner product."""
     p = new.U.T @ old.U
     q_e, r_e = np.linalg.qr(old.U - new.U @ p)
@@ -278,6 +258,14 @@ def _inner(first, second) -> float:
     (q1, c1), (q2, c2) = first, second
     m = q1.T @ q2
     return float(np.vdot(c1, m @ c2 @ m.T))
+
+
+def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
+    """Frobenius distance between two factored blocks without densifying:
+    ||C||_F of ``_correction(old, new)``, whose Q has orthonormal columns, so
+    equal factor pairs read near 0.  ``new.U`` must have orthonormal
+    columns, as ``randomized_eig`` returns."""
+    return float(np.linalg.norm(_correction(old, new)[1]))
 
 
 def _anderson_weights(gram: np.ndarray) -> np.ndarray:
@@ -374,22 +362,22 @@ def solve_lowrank(
     svd: SvdConfig | None = None,
     check: bool = True,
 ) -> tuple[dict[str, FactoredSimilarity], SolveTrace]:
-    """Iterate factored sweeps from S = I, Anderson-mixing their inputs once
-    the map contracts slowly.
+    """Iterate factored sweeps from S = I, Anderson-mixing their inputs from
+    sweep 6 on.
 
     Each step sweeps its input x_k and returns the plain image G(x_k) with
     the per-type ``factored_residual(x_k, G(x_k))``, so ``tol`` and the trace
-    mean what they mean for plain sweeps.  Inputs are the last image until
-    the summed residual (in ``update_order``) has fallen by a ratio above
-    SLOW_RATIO on three consecutive sweeps.  From that sweep on, each pair
-    (x_k, G(x_k)) joins a history of at most MIX_DEPTH + 1, and the next input
-    mixes the history's images (type-II Anderson mixing; Anderson 1965,
-    Walker & Ni 2011): per type, I + sum_j alpha_j U_j D_j U_j^T re-truncated
-    to the type's rank (``_mix``), with sum alpha = 1 minimizing the summed
-    norm of sum_j alpha_j (G(x_j) - x_j).  At a limit every image is the
-    same, so the limit is a fixed point of the plain truncated map.  A sweep
-    whose summed residual rises drops the history, so the next input is
-    that sweep's image; the MAX_RISES-th rise turns mixing off for good.
+    mean what they mean for plain sweeps.  From sweep 4 on, each pair
+    (x_k, G(x_k)) joins a history of at most MIX_DEPTH + 1, and once it holds
+    two pairs the next input mixes the history's images (type-II Anderson
+    mixing; Anderson 1965, Walker & Ni 2011): per type, I + sum_j alpha_j
+    U_j D_j U_j^T re-truncated to the type's rank (``_mix``), with sum alpha
+    = 1 minimizing the summed norm (in ``update_order``) of sum_j alpha_j
+    (G(x_j) - x_j).  So sweep 6's input is the first mixed one, and a solve
+    of 5 sweeps or fewer is chained plain sweeps.  At a limit every image is
+    the same, so the limit is a fixed point of the plain truncated map.  A
+    sweep whose summed residual rises drops the history, so the next input
+    is that sweep's image; the MAX_RISES-th rise turns mixing off for good.
     """
     config = config or SolverConfig()
     svd = svd or SvdConfig()
@@ -426,9 +414,7 @@ def solve_lowrank(
             gram = np.zeros((0, 0))
             if rises < MAX_RISES:
                 remember(state, new)
-        elif history or not rises and len(sums) > 3 and all(
-            sums[i] > SLOW_RATIO * sums[i - 1] for i in (-1, -2, -3)
-        ):
+        elif history or len(sums) == 4:
             remember(state, new)
         return new, residuals
 

@@ -7,7 +7,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import hetsim
-from hetsim import dense, lowrank, model
+from hetsim import dense, model
 from hetsim.dense import ConditionError, classical_simrank, coupling_plan, residual, sweep
 
 from conftest import networks_relations_weights, single_type_graph
@@ -422,18 +422,10 @@ def _solve_lowrank(net, weights, config=None, check=True):
     return hetsim.solve_lowrank(net, weights, config, hetsim.SvdConfig(rank=3), check=check)
 
 
-def _solve_lowrank_mixed(net, weights, config=None, check=True):
-    """The low-rank solve with Anderson mixing forced on from the earliest
-    sweep its gate reads."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lowrank, "SLOW_RATIO", 0.0)
-        return _solve_lowrank(net, weights, config, check)
-
-
 every_solver = pytest.mark.parametrize(
     "solve",
-    [hetsim.solve_dense, hetsim.solve_lyapunov, _solve_lowrank, _solve_lowrank_mixed],
-    ids=["dense", "lyapunov", "lowrank", "lowrank-mixed"],
+    [hetsim.solve_dense, hetsim.solve_lyapunov, _solve_lowrank],
+    ids=["dense", "lyapunov", "lowrank"],
 )
 
 
@@ -692,8 +684,9 @@ class TestSolverConfig:
 
     @every_solver
     def test_converges_past_the_opening_sweeps(self, solve):
-        # Long enough for relaxed (dense, lyapunov) and mixed (lowrank-mixed)
-        # sweeps: the trace still sums each sweep's own per-type residuals.
+        # Long enough for relaxed (dense, lyapunov) and Anderson-mixed
+        # (lowrank, from sweep 6) sweeps: the trace still sums each sweep's
+        # own per-type residuals.
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=10, seed=2))
         _, trace = solve(net, hetsim.default_weights(net),
                          hetsim.SolverConfig(tol=1e-9, max_iter=300))

@@ -569,12 +569,6 @@ def random_networks(draw):
     return net, hetsim.default_weights(net)
 
 
-def forced_mixing(mp):
-    """Open the Anderson gate on every residual fall: mixing starts at the
-    earliest sweep the gate reads (sweep 4), so sweep 6's input is mixed."""
-    mp.setattr(lowrank, "SLOW_RATIO", 0.0)
-
-
 def mixed_sweeps(monkeypatch):
     """Record the sweeps whose input a solve mixes: the 1-based index of each
     sweep that ``_anderson_weights`` runs before."""
@@ -588,21 +582,18 @@ def mixed_sweeps(monkeypatch):
 
 def expected_mixed_sweeps(sums):
     """The mixing policy replayed on a solve's summed residuals: the sweeps
-    whose input mixes two or more (input, image) pairs, and the sweep whose
-    residual rise turned mixing off, or None."""
-    depth, rises, mixed, off = 0, 0, [], None
+    whose input mixes two or more (input, image) pairs, and the sweeps whose
+    residual rise dropped the history (the MAX_RISES-th turns mixing off)."""
+    depth, mixed, rises = 0, [], []
     for k in range(len(sums)):
         if depth > 1:
             mixed.append(k + 1)
         if depth and sums[k] > sums[k - 1]:
-            rises += 1
-            depth = int(rises < lowrank.MAX_RISES)
-            off = off if depth else k + 1
-        elif depth or not rises and k >= 3 and all(
-            sums[i] > lowrank.SLOW_RATIO * sums[i - 1] for i in (k, k - 1, k - 2)
-        ):
+            rises.append(k + 1)
+            depth = int(len(rises) < lowrank.MAX_RISES)
+        elif depth or k == 3:  # sweep 4's pair opens the history
             depth = min(depth + 1, lowrank.MIX_DEPTH + 1)
-    return mixed, off
+    return mixed, rises
 
 
 class TestAndersonMixing:
@@ -627,11 +618,10 @@ class TestAndersonMixing:
         for name, f in solved.items():
             assert np.abs(f.dense() - state[name].dense()).max() <= 1e-10
 
-    def test_a_solve_of_five_sweeps_is_plain_even_when_forced(self, monkeypatch):
+    def test_first_mixed_input_is_sweep_six(self, monkeypatch):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
         weights = hetsim.default_weights(net)
         svd = hetsim.SvdConfig(rank=5, seed=7)
-        forced_mixing(monkeypatch)
         mixed = mixed_sweeps(monkeypatch)
         table = update_plan(net, coupling_plan(net, weights), svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
@@ -649,10 +639,9 @@ class TestAndersonMixing:
 
     def test_safeguard_restarts_then_switches_off(self, monkeypatch):
         # README's quickstart: synth random --K 3 --N 50 --seed 1, solved at
-        # rank 10, seed 1, tol 1e-6.  The residual rises at the first mixed
-        # sweep and on the two plain sweeps after it; later sweeps contract
-        # slowly enough for the gate to fire again, had the third rise not
-        # turned it off.
+        # rank 10, seed 1, tol 1e-6.  The residual rises on a mixed sweep,
+        # mixing restarts and the residual rises again; the third rise turns
+        # mixing off, and plain sweeps finish the solve.
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=50, seed=1))
         mixed = mixed_sweeps(monkeypatch)
         _, trace = hetsim.solve_lowrank(
@@ -662,13 +651,10 @@ class TestAndersonMixing:
         assert trace.converged
         # The policy sums in update (name) order.
         sums = [sum(p[name] for name in sorted(p)) for p in trace.per_type]
-        expected, off = expected_mixed_sweeps(sums)
-        assert mixed == expected and mixed and off
-        after = sums[off:]
-        assert any(
-            all(after[i] > lowrank.SLOW_RATIO * after[i - 1] for i in (j, j - 1, j - 2))
-            for j in range(3, len(after))
-        )
+        expected, rises = expected_mixed_sweeps(sums)
+        assert mixed == expected and len(rises) == lowrank.MAX_RISES
+        assert any(rises[0] < k < rises[-1] for k in mixed)  # restarted
+        assert max(mixed) <= rises[-1] < trace.iterations  # switched off
 
     def test_equal_factor_pairs_give_a_gram_entry_at_rounding(self):
         for u, d in TestSolveLowrank._orthonormal_pairs():
@@ -712,21 +698,19 @@ class TestAndersonMixing:
             assert np.linalg.norm(other @ fs) >= best
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(networks_relations_weights(), random_networks()))
-    def test_forced_full_rank_solve_agrees_with_dense(self, case):
-        """``test_full_rank_solve_agrees_with_dense`` with mixing forced on, also
-        over ``random_networks``, whose solves run past the five plain sweeps:
-        the mixed full-rank solve reaches the dense fixed point to 1e-6."""
+    @given(random_networks())
+    def test_mixed_full_rank_solve_agrees_with_dense(self, case):
+        """``test_full_rank_solve_agrees_with_dense`` over ``random_networks``,
+        whose solves run past the five plain sweeps: the mixed full-rank solve
+        reaches the dense fixed point to 1e-6."""
         net, weights = case
         assume(hetsim.check_convergence_conditions(net, weights).ok)
         config = hetsim.SolverConfig(tol=1e-10, max_iter=500)
         dstate, dtrace = hetsim.solve_dense(net, weights, config)
         rank = max(t.size for t in net.types)
-        with pytest.MonkeyPatch.context() as mp:
-            forced_mixing(mp)
-            fstate, ftrace = hetsim.solve_lowrank(
-                net, weights, config, hetsim.SvdConfig(rank=rank, oversample=0)
-            )
+        fstate, ftrace = hetsim.solve_lowrank(
+            net, weights, config, hetsim.SvdConfig(rank=rank, oversample=0)
+        )
         if ftrace.iterations > 5:
             event("mixed")
         if not (dtrace.converged and ftrace.converged):
