@@ -235,21 +235,24 @@ def _largest(lam: np.ndarray, v: np.ndarray, rank: int):
     return v[:, order], lam[order]
 
 
-def _correction(old: FactoredSimilarity, new: FactoredSimilarity):
-    """new - old as (Q, C) with new - old = Q C Q^T, without densifying.
-
-    ``new.U`` must have orthonormal columns, as ``randomized_eig`` returns.
-    With P = U'^T U and U - U' P = Q_e R_e (Householder), Q = [U' | Q_e] and
-    U = Q [P; R_e], so C = diag(D', 0) - [P; R_e] D [P; R_e]^T.  No entry of
-    C is a difference of large terms except D' - P D P^T, so equal factor
-    pairs give a C at rounding level; stacking [U' | U] with weights
-    [D', -D] instead cancels terms of size |d|^2 in every inner product."""
-    p = new.U.T @ old.U
-    q_e, r_e = np.linalg.qr(old.U - new.U @ p)
+def _stacked(u: np.ndarray, d: np.ndarray, older: np.ndarray, w: np.ndarray):
+    """(Q, C) with Q C Q^T = u diag(d) u^T + older diag(w) older^T, u orthonormal:
+    P = u^T older, older - u P = Q_e R_e (Householder, one projection pass),
+    Q = [u | Q_e] and C = diag(d, 0) + K diag(w) K^T with K = [P; R_e]."""
+    p = u.T @ older
+    q_e, r_e = np.linalg.qr(older - u @ p)
     k = np.vstack([p, r_e])
-    core = -(k * old.d) @ k.T
-    core[: new.rank, : new.rank] += np.diag(new.d)
-    return np.hstack([new.U, q_e]), core
+    core = (k * w) @ k.T
+    core[: d.size, : d.size] += np.diag(d)
+    return np.hstack([u, q_e]), core
+
+
+def _correction(old: FactoredSimilarity, new: FactoredSimilarity):
+    """new - old as (Q, C) with new - old = Q C Q^T, for ``new.U`` orthonormal
+    as ``randomized_eig`` returns: ``_stacked(U', D', U, -D)``.  Only D' - P D
+    P^T subtracts large terms, so equal factor pairs give a C at rounding level;
+    stacking [U' | U] with weights [D', -D] would cancel |d|^2-size terms."""
+    return _stacked(new.U, new.d, old.U, -old.d)
 
 
 def _inner(first, second) -> float:
@@ -262,9 +265,8 @@ def _inner(first, second) -> float:
 
 def factored_residual(old: FactoredSimilarity, new: FactoredSimilarity) -> float:
     """Frobenius distance between two factored blocks without densifying:
-    ||C||_F of ``_correction(old, new)``, whose Q has orthonormal columns, so
-    equal factor pairs read near 0.  ``new.U`` must have orthonormal
-    columns, as ``randomized_eig`` returns."""
+    ||C||_F of ``_correction(old, new)``, whose Q is orthonormal, so equal
+    factor pairs read near 0; ``new.U`` must be orthonormal."""
     return float(np.linalg.norm(_correction(old, new)[1]))
 
 
@@ -277,12 +279,12 @@ def _anderson_weights(gram: np.ndarray) -> np.ndarray:
 
 
 def _mix(images: list, alpha: np.ndarray, rank: int) -> FactoredSimilarity:
-    """I + sum_j alpha_j U_j D_j U_j^T re-truncated to ``rank``: Householder
-    QR of [U_0 ... U_m] = Q R, ``eigh`` of the core R diag(alpha_j d_j) R^T,
-    and its ``rank`` eigenpairs largest in magnitude, as ``randomized_eig``
-    keeps them."""
-    q, r = np.linalg.qr(np.hstack([f.U for f in images]))
-    core = (r * np.concatenate([a * f.d for a, f in zip(alpha, images)])) @ r.T
+    """I + sum_j alpha_j U_j D_j U_j^T re-truncated to ``rank``: ``eigh`` of the
+    core ``_stacked`` builds on the newest U (orthonormal) and the older ones,
+    and its ``rank`` eigenpairs largest in magnitude, as ``randomized_eig``'s."""
+    *older, newest = images
+    q, core = _stacked(newest.U, alpha[-1] * newest.d, np.hstack([f.U for f in older]),
+                       np.concatenate([a * f.d for a, f in zip(alpha, older)]))
     v, lam = _largest(*np.linalg.eigh(core), rank)
     return FactoredSimilarity(q @ v, lam)
 

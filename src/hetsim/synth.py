@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .model import HeteroNetwork, NetworkError, build_network
 
@@ -107,11 +106,20 @@ def layered_points_graph(
     ]
     relation_specs = []
     for k in range(1, len(spec.counts)):
-        dist = cdist(points.layers[k], points.layers[k - 1])
+        dist = _distances(points.layers[k], points.layers[k - 1])
         ii, jj = np.nonzero(dist < spec.radius)
         edges = [(f"p{k}_{a}", f"p{k - 1}_{b}") for a, b in zip(ii, jj)]
         relation_specs.append((f"r{k}", f"layer{k}", f"layer{k - 1}", edges))
     return build_network(type_specs, relation_specs), points
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-to-row Euclidean distances of (n, d) ``a`` and (m, d) ``b`` in cdist's
+    bits: squared differences summed in coordinate order, then one sqrt."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        out += np.square(np.subtract.outer(a[:, k], b[:, k]))
+    return np.sqrt(out, out=out)
 
 
 def geometric_ground_truth(points: np.ndarray) -> np.ndarray:
@@ -121,9 +129,9 @@ def geometric_ground_truth(points: np.ndarray) -> np.ndarray:
     decreasing function of distance is equivalent.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        raise ValueError("need at least 2 points")
-    return -cdist(pts, pts)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ValueError("need an (n, d) array of at least 2 points")
+    return -_distances(pts, pts)
 
 
 def ordering_quality(s: np.ndarray, s_hat: np.ndarray) -> float:

@@ -1235,3 +1235,37 @@ def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
             assert code == EXIT_CONFIG
     event(f"{command} exit {code}")
     assert code in {EXIT_OK, EXIT_CONFIG, EXIT_NOCONVERGE, EXIT_IO}
+
+
+IMPORT_FLOOR_SCRIPT = """
+import sys
+import hetsim, hetsim.cli
+
+tmp = sys.argv[1]
+calls = [
+    ["synth", "random", "--K", "3", "--N", "30", "--seed", "1", "--out", f"{tmp}/r"],
+    ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/dense"],
+    ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/lowrank", "--solver", "lowrank",
+     "--ranks", "3", "--tol", "1e-6"],
+    ["synth", "layered", "--counts", "8,8", "--r", "0.5", "--seed", "1", "--out", f"{tmp}/lay"],
+    ["solve", "--bundle", f"{tmp}/lay", "--out", f"{tmp}/laysim", "--tol", "1e-4"],
+    ["eval-q", "--bundle", f"{tmp}/lay", "--similarity", f"{tmp}/laysim/similarity.csv"],
+]
+codes = [hetsim.cli.main(argv) for argv in calls]
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.spatial", "scipy.linalg")))
+print("RESULT", codes, loaded)
+"""
+
+
+def test_cli_loads_neither_scipy_spatial_nor_scipy_linalg(tmp_path):
+    """A fresh interpreter that imports hetsim and runs synth, a dense and a
+    low-rank solve and eval-q loads neither scipy.spatial (with its qhull)
+    nor scipy.linalg: of scipy, hetsim needs only scipy.sparse."""
+    src = str(Path(hetsim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FLOOR_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = proc.stdout.splitlines()[-1]
+    assert result == f"RESULT {[EXIT_OK] * 6} []"

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 import hetsim
 from hetsim.model import NetworkError
@@ -9,6 +13,7 @@ from hetsim.synth import (
     LayeredGraphSpec,
     PointCloud,
     RandomNetworkSpec,
+    _distances,
     geometric_ground_truth,
     layer_quality,
     layered_points_graph,
@@ -124,6 +129,45 @@ class TestLayeredPointsGraph:
             LayeredGraphSpec(counts=(5, 5), radius=0.0)
 
 
+# Point clouds in the unit square, 1-60 points, drawn coordinates may repeat.
+clouds = st.integers(1, 60).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, 2), elements=st.floats(0.0, 1.0))
+)
+
+
+class TestDistances:
+    """synth computes its distances in numpy, in cdist's arithmetic, so
+    `synth layered` bundles and `eval-q` reports keep their bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=clouds, b=clouds, shared=st.integers(0, 60))
+    def test_bit_identical_to_cdist(self, a, b, shared):
+        b = np.vstack([a[:shared], b])  # some of b's points are a's
+        assert np.array_equal(_distances(a, b), cdist(a, b))
+        if len(a) > 1:
+            assert np.array_equal(geometric_ground_truth(a), -cdist(a, a))
+
+    @pytest.mark.parametrize("counts, radius, seed", [
+        ((10, 10, 10), 0.3, 2),
+        ((15, 12), 0.3, 5),
+        ((40, 40, 40), 0.05, 0),
+        ((40, 40, 40), 0.15, 19),
+        ((40, 40, 40), 0.5, 7),
+        ((5, 4), 0.5, 1),
+    ])
+    def test_layered_edges_match_a_cdist_construction(self, counts, radius, seed):
+        net, pts = layered_points_graph(LayeredGraphSpec(counts, radius, seed))
+        for k in range(1, len(counts)):
+            ii, jj = np.nonzero(cdist(pts.layers[k], pts.layers[k - 1]) < radius)
+            want = [(f"p{k}_{a}", f"p{k - 1}_{b}") for a, b in zip(ii, jj)]
+            assert net.relation(f"r{k}").edge_ids() == want
+
+    def test_any_dimension(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.random((7, 5)), rng.random((9, 5))
+        assert np.array_equal(_distances(a, b), cdist(a, b))
+
+
 class TestGeometricGroundTruth:
     def test_coincident_points_maximal(self):
         s = geometric_ground_truth(np.array([[0.2, 0.2], [0.2, 0.2], [0.9, 0.9]]))
@@ -145,6 +189,11 @@ class TestGeometricGroundTruth:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             geometric_ground_truth(np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("points", [0.5, [0.1, 0.2, 0.3], np.zeros((3, 2, 2))])
+    def test_needs_a_two_dimensional_array(self, points):
+        with pytest.raises(ValueError):
+            geometric_ground_truth(points)
 
 
 class TestOrderingQuality:
