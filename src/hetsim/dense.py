@@ -18,6 +18,7 @@ Both solvers over-relax their sweeps while the map contracts slowly
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +48,13 @@ class ConditionError(ValueError):
     """Convergence preconditions failed and were not overridden."""
 
 
+def check_field(name: str, value, kind: type, floor, want: str) -> None:
+    """The field rule of ``SolverConfig`` and ``lowrank.SvdConfig``: ``value``
+    is a ``kind`` number above ``floor``, never a bool, or ValueError says so."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not value > floor:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule on the summed Frobenius residual, read by ``iterate``."""
@@ -55,10 +63,8 @@ class SolverConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_field("tol", self.tol, numbers.Real, 0, "positive")
+        check_field("max_iter", self.max_iter, numbers.Integral, 0, "one integer of at least 1")
 
 
 @dataclass
@@ -108,21 +114,23 @@ def residual_by_type(prev: SimilaritySet, new: SimilaritySet) -> dict[str, float
 
 
 def iterate(state, step, config: SolverConfig):
-    """The fixed-point loop every solver runs: ``state, per_type = step(state)``
-    until the summed residual drops to ``config.tol`` or ``config.max_iter``
-    sweeps.
+    """The fixed-point loop every solver runs: ``state, per_type =
+    step(state, sums)`` until the summed residual drops to ``config.tol`` or
+    ``config.max_iter`` sweeps.
 
-    ``step`` is a sweep, and ``per_type`` the residuals it returns, recorded
-    in the trace as they are and summed in their order (listing order).
-    Returns the last iterate and its ``SolveTrace``; raises
-    ``DivergenceError`` when the summed residual is not finite, which a
-    non-finite iterate after a finite one always makes it.
+    ``sums`` is ``trace.residuals``, the earlier sweeps' summed residuals,
+    which ``step`` only reads.  A sweep's ``per_type`` is recorded as it is
+    and summed here alone, in type-name order (``update_order``), so the
+    stop and the trace do not depend on listing order.  Returns the last
+    iterate and its ``SolveTrace``; raises ``DivergenceError`` when the
+    summed residual is not finite, which a non-finite iterate after a finite
+    one always makes it.
     """
     trace = SolveTrace()
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
-        state, per_type = step(state)
-        res = sum(per_type.values())
+        state, per_type = step(state, trace.residuals)
+        res = sum(per_type[name] for name in sorted(per_type))
         trace.seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res)
         trace.per_type.append(per_type)
@@ -257,22 +265,18 @@ def _solve_coupled(network, weights, config, check, damping=None):
     first sweep whose summed residual rises turns relaxation off for good:
     a spectrum that reaches toward -1 makes relaxed sweeps diverge.  The
     trace keeps the sweep's residuals, each type's plain-correction norm, so
-    ``tol`` means what it means for plain sweeps.  The decision sums them in
-    ``update_order``, so it does not depend on listing order."""
+    ``tol`` means what it means for plain sweeps.  Each step picks ``relax``
+    from ``iterate``'s sums of the sweeps before it."""
     plan = checked_plan(network, weights, check, damping)
-    order = [t.name for t in update_order(network)]
-    sums = []
     relax = 1.0
 
-    def step(state):
+    def step(state, sums):
         nonlocal relax
-        new, norms = sweep(network, state, plan, damping, relax)
-        sums.append(sum(norms[name] for name in order))
         if len(sums) == 2 and sums[1] > (RELAX - 1.0) * sums[0]:
             relax = RELAX
         elif len(sums) > 3 and sums[-1] > sums[-2]:
             relax = 1.0
-        return new, norms
+        return sweep(network, state, plan, damping, relax)
 
     return iterate(SimilaritySet.identity(network), step, config)
 

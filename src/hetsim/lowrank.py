@@ -13,13 +13,15 @@ Queries evaluate the factored form directly and never densify a block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import DivergenceError, SolveTrace, SolverConfig, checked_plan, iterate, update_order
+from .dense import (DivergenceError, SolveTrace, SolverConfig, check_field, checked_plan,
+                    iterate, update_order)
 from .model import HeteroNetwork, WeightMatrix
 
 
@@ -96,9 +98,8 @@ class SvdConfig:
 
     def __post_init__(self):
         for name, least in (("rank", 1), ("oversample", 0), ("power", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be one integer of at least {least}, got {value!r}")
+            check_field(name, getattr(self, name), numbers.Integral, least - 1,
+                        f"one integer of at least {least}")
 
 
 def _weight_only(stacked, stacked_t, x: np.ndarray) -> np.ndarray:
@@ -304,15 +305,16 @@ def _rng_for(seed: int, type_index: int):
 
 def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     """The low-rank solver's one per-solve table, built from
-    ``dense.coupling_plan``'s result ``plan``.  Each type with a weighted
-    relation side gets ``(B, rows, C^T, diagonal, rank, sketch, image)``: B
-    and rows from ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the
-    weight-only diagonal sum w * rownorm^2(W) (the diagonal of B C^T), the
-    rank clamped to the block, the Gaussian sketch Omega of rank +
-    oversample columns and its weight-only image B C^T Omega, or None and
-    None (exact decomposition) when they would fill the block."""
+    ``dense.coupling_plan``'s result ``plan`` and keyed in
+    ``dense.update_order``.  Each type with a weighted relation side gets
+    ``(B, rows, C^T, diagonal, rank, sketch, image)``: B and rows from
+    ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the weight-only diagonal sum
+    w * rownorm^2(W) (the diagonal of B C^T), the rank clamped to the block,
+    the Gaussian sketch Omega of rank + oversample columns (``_rng_for`` the
+    type's listing position) and its weight-only image B C^T Omega, or None
+    and None (exact decomposition) when they would fill the block."""
     table = {}
-    for ti, t in enumerate(network.types):
+    for t in update_order(network):
         stacked, rows = plan[t.name]
         if not rows:
             continue
@@ -321,7 +323,7 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
         width = min(rank + svd.oversample, t.size)
         sketch = None
         if width < t.size:
-            sketch = _rng_for(svd.seed, ti).standard_normal((t.size, width))
+            sketch = _rng_for(svd.seed, network.types.index(t)).standard_normal((t.size, width))
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
         c_t = c.T.tocsr()
         image = None if sketch is None else _weight_only(stacked, c_t, sketch)
@@ -369,30 +371,29 @@ def solve_lowrank(
 
     Each step sweeps its input x_k and returns the plain image G(x_k) with
     the per-type ``factored_residual(x_k, G(x_k))``, so ``tol`` and the trace
-    mean what they mean for plain sweeps.  From sweep 4 on, each pair
-    (x_k, G(x_k)) joins a history of at most MIX_DEPTH + 1, and once it holds
-    two pairs the next input mixes the history's images (type-II Anderson
-    mixing; Anderson 1965, Walker & Ni 2011): per type, I + sum_j alpha_j
-    U_j D_j U_j^T re-truncated to the type's rank (``_mix``), with sum alpha
-    = 1 minimizing the summed norm (in ``update_order``) of sum_j alpha_j
-    (G(x_j) - x_j).  So sweep 6's input is the first mixed one, and a solve
-    of 5 sweeps or fewer is chained plain sweeps.  At a limit every image is
-    the same, so the limit is a fixed point of the plain truncated map.  A
-    sweep whose summed residual rises drops the history, so the next input
+    mean what they mean for plain sweeps.  From sweep 4 on, the next step
+    folds each pair (x_k, G(x_k)) into a history of at most MIX_DEPTH + 1,
+    and once it holds two pairs mixes the history's images into its input
+    (type-II Anderson mixing; Anderson 1965, Walker & Ni 2011): per type,
+    I + sum_j alpha_j U_j D_j U_j^T re-truncated to the type's rank
+    (``_mix``), with sum alpha = 1 minimizing the summed norm (in
+    ``update_order``) of sum_j alpha_j (G(x_j) - x_j).  So sweep 6's input is
+    the first mixed one.  At a limit every image is the same, so the limit
+    is a fixed point of the plain truncated map.  A sweep whose summed
+    residual (``iterate``'s sums) rises drops the history, so the next input
     is that sweep's image; the MAX_RISES-th rise turns mixing off for good.
     """
     config = config or SolverConfig()
     svd = svd or SvdConfig()
     table = update_plan(network, checked_plan(network, weights, check), svd)
-    order = [t.name for t in update_order(network) if t.name in table]
-    history, sums = [], []  # history: (image, its corrections by type), oldest first
+    history, last_input = [], None  # history: (image, its corrections by type), oldest first
     gram, rises = np.zeros((0, 0)), 0
 
     def remember(state, new):
         nonlocal gram
-        parts = {name: _correction(state[name], new[name]) for name in order}
+        parts = {name: _correction(state[name], new[name]) for name in table}
         history.append((new, parts))
-        row = [sum(_inner(parts[name], h[1][name]) for name in order) for h in history]
+        row = [sum(_inner(parts[name], h[1][name]) for name in table) for h in history]
         grown = np.empty((len(row),) * 2)
         grown[:-1, :-1] = gram
         grown[-1] = grown[:, -1] = row
@@ -401,24 +402,24 @@ def solve_lowrank(
             del history[0]
             gram = gram[1:, 1:]
 
-    def step(state):
-        nonlocal gram, rises
-        if len(history) > 1:
-            alpha = _anderson_weights(gram)
-            state = dict(state)
-            for name in order:
-                state[name] = _mix([h[0][name] for h in history], alpha, table[name][4])
-        new, residuals = sweep_lowrank(network, state, table, svd.power)
-        sums.append(sum(residuals[name] for name in order))
+    def step(state, sums):
+        nonlocal gram, rises, last_input
+        # The last sweep's pair (last_input, state) first: its summed residual is sums[-1].
         if history and sums[-1] > sums[-2]:
             rises += 1
             history.clear()
             gram = np.zeros((0, 0))
             if rises < MAX_RISES:
-                remember(state, new)
+                remember(last_input, state)
         elif history or len(sums) == 4:
-            remember(state, new)
-        return new, residuals
+            remember(last_input, state)
+        if len(history) > 1:
+            alpha = _anderson_weights(gram)
+            state = dict(state)
+            for name, entry in table.items():
+                state[name] = _mix([h[0][name] for h in history], alpha, entry[4])
+        last_input = state
+        return sweep_lowrank(network, state, table, svd.power)
 
     identity = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
     return iterate(identity, step, config)

@@ -80,14 +80,6 @@ class Relation:
             for i, j in zip(self.src_idx, self.dst_idx)
         ]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """0/1 adjacency, rows = src entities, columns = dst entities."""
-        data = np.ones(self.n_edges)
-        return sp.csr_matrix(
-            (data, (self.src_idx, self.dst_idx)),
-            shape=(self.src.size, self.dst.size),
-        )
-
 
 @dataclass(frozen=True)
 class HeteroNetwork:

@@ -114,7 +114,8 @@ def explicit_sweep(net, weights, state):
         t = net.type(name)
         acc = np.zeros((t.size, t.size))
         for r in net.incident(name):
-            a = r.adjacency().toarray()
+            a = np.zeros((r.src.size, r.dst.size))
+            a[r.src_idx, r.dst_idx] = 1.0
             a, partner = (a, r.dst) if r.src.name == name else (a.T, r.src)
             w = a / np.maximum(a.sum(axis=0), 1)
             acc += weights.weight(name, r.name) * (w @ out[partner.name] @ w.T)
@@ -284,8 +285,11 @@ def networks_and_reorderings(draw):
 @given(case=networks_and_reorderings())
 def test_solution_does_not_depend_on_listing_order(case, solve):
     # The plan stacks a type's sides in the order of its incident relations,
-    # so reordering moves only the summation order of each coupling.  The
-    # relaxation decision sums in update order, so it moves no sweep either.
+    # so reordering the relations moves only the rounding of each coupling
+    # sum; reordering the types alone moves no bit
+    # (test_reordering_only_the_types_is_bit_exact).  The relaxation decision
+    # and the stop read iterate's sums, in type-name order, which move only
+    # by that rounding, so the sweep count holds.
     config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
     (first, trace), (second, again) = (
         solve(net, hetsim.default_weights(net), config) for net in case
@@ -293,6 +297,64 @@ def test_solution_does_not_depend_on_listing_order(case, solve):
     assert trace.iterations == again.iterations
     for name, block in first.blocks.items():
         np.testing.assert_allclose(second[name], block, rtol=0, atol=1e-12)
+
+
+@st.composite
+def networks_and_type_reorderings(draw):
+    """random_network(k in [3, 5], n in [3, 15]) and the same network with only
+    its types listed in a drawn order, its relations as they are.  Three or
+    more types, so that a sum over the types can depend on its order."""
+    spec = hetsim.RandomNetworkSpec(
+        k=draw(st.integers(3, 5)), n=draw(st.integers(3, 15)), seed=draw(st.integers(0, 2**32 - 1))
+    )
+    try:
+        net = hetsim.random_network(spec)
+    except hetsim.NetworkError:  # two size-1 types cannot hold 2 distinct edges
+        assume(False)
+    types = draw(st.permutations(net.types))
+    reordered = hetsim.build_network(
+        [(t.name, t.ids) for t in types],
+        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations],
+    )
+    return net, reordered
+
+
+def _solve_lowrank_full_width(net, weights, config):
+    # Rank as wide as the largest block and no oversampling: every type is
+    # decomposed exactly, so no sketch, keyed by listing position, is drawn.
+    svd = hetsim.SvdConfig(rank=max(t.size for t in net.types), oversample=0)
+    return hetsim.solve_lowrank(net, weights, config, svd)
+
+
+def _arrays(state):
+    """Every array of a solve's result, by type: the dense block, or U and d."""
+    if isinstance(state, hetsim.SimilaritySet):
+        return {name: [block] for name, block in state.blocks.items()}
+    return {name: [f.U, f.d] for name, f in state.items()}
+
+
+@pytest.mark.parametrize(
+    "solve", [hetsim.solve_dense, hetsim.solve_lyapunov, _solve_lowrank_full_width],
+    ids=["dense", "lyapunov", "lowrank-full-width"],
+)
+@settings(max_examples=25, deadline=None)
+@given(case=networks_and_type_reorderings())
+def test_reordering_only_the_types_is_bit_exact(case, solve):
+    # Sweeps update the types in name order, each type's sides stay in the
+    # relations' order, and iterate sums each sweep's residuals in name
+    # order, so listing the types in another order moves no bit: not of a
+    # block, not of the trace, not of the stop.
+    config = hetsim.SolverConfig(tol=1e-12, max_iter=300)
+    (first, trace), (second, again) = (
+        solve(net, hetsim.default_weights(net), config) for net in case
+    )
+    assert trace.iterations == again.iterations
+    assert trace.residuals == again.residuals
+    assert trace.per_type == again.per_type
+    mine, theirs = _arrays(first), _arrays(second)
+    assert mine.keys() == theirs.keys()
+    for name, arrays in mine.items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, theirs[name], strict=True))
 
 
 def jacobi_solve(net, weights, config, damping=None):
@@ -304,7 +366,8 @@ def jacobi_solve(net, weights, config, damping=None):
     sides = {t.name: [] for t in net.types}
     for t in net.types:
         for r in net.incident(t.name):
-            a = r.adjacency().toarray()
+            a = np.zeros((r.src.size, r.dst.size))
+            a[r.src_idx, r.dst_idx] = 1.0
             a, partner = (a, r.dst) if r.src.name == t.name else (a.T, r.src)
             w = a / np.maximum(a.sum(axis=0), 1)
             sides[t.name].append((weights.weight(t.name, r.name), w, partner.name))
@@ -671,6 +734,25 @@ class TestSolverConfig:
             hetsim.SolverConfig(max_iter=0)
         with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\)"):
             hetsim.solve_lyapunov(toy_network, toy_weights, damping=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", False),
+        ("max_iter", 0), ("max_iter", -1), ("max_iter", "5"), ("max_iter", None),
+        ("tol", "1e-9"), ("tol", True), ("tol", 0.0), ("tol", -1e-9), ("tol", float("nan")),
+        ("tol", None),
+    ])
+    def test_fields_refused(self, name, value):
+        # max_iter 2.5 used to fail inside iterate, max_iter True ran one
+        # sweep, and tol "1e-9" raised a bare TypeError.
+        want = "positive" if name == "tol" else "one integer of at least 1"
+        with pytest.raises(ValueError, match=f"^{name} must be {want}, got "):
+            hetsim.SolverConfig(**{name: value})
+
+    def test_numpy_numbers_accepted(self):
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=10, seed=2))
+        config = hetsim.SolverConfig(tol=np.float32(1e-30), max_iter=np.int64(3))
+        _, trace = hetsim.solve_dense(net, hetsim.default_weights(net), config)
+        assert trace.iterations == 3
 
     @every_solver
     def test_trace_lengths_match(self, solve):
