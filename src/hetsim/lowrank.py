@@ -333,10 +333,11 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
 
 def sweep_lowrank(
     network: HeteroNetwork, state: Mapping[str, FactoredSimilarity], table: dict, power: int
-) -> tuple[dict[str, FactoredSimilarity], dict[str, float]]:
+) -> tuple[dict[str, FactoredSimilarity], dict[str, float], dict[str, tuple]]:
     """One Gauss-Seidel sweep in factored form, in ``dense.update_order``.
-    Returns the new factors and each type's ``factored_residual`` against
-    ``state``, keyed in listing order.
+    Returns the new factors, each type's ``factored_residual`` against
+    ``state`` (keyed in listing order) and its correction, the
+    ``_correction`` pair (Q, C) of which that residual is ||C||_F.
 
     Per type: assemble the update operator, less its exact diagonal, against
     the partners' newest factors and project it to its rank with ``power``
@@ -344,7 +345,7 @@ def sweep_lowrank(
     representation.  ``table`` is ``update_plan``'s result; a type absent
     there stays I.  ``state`` itself is left as it is.
     """
-    new = dict(state)
+    new, corrections = dict(state), {}
     residuals = dict.fromkeys(t.name for t in network.types)
     for t in update_order(network):
         if t.name in table:
@@ -355,8 +356,9 @@ def sweep_lowrank(
             new[t.name] = FactoredSimilarity(u, d)
         else:
             new[t.name] = FactoredSimilarity.identity(t.size)
-        residuals[t.name] = factored_residual(state[t.name], new[t.name])
-    return new, residuals
+        corrections[t.name] = _correction(state[t.name], new[t.name])
+        residuals[t.name] = float(np.linalg.norm(corrections[t.name][1]))
+    return new, residuals, corrections
 
 
 def solve_lowrank(
@@ -372,10 +374,10 @@ def solve_lowrank(
     Each step sweeps its input x_k and returns the plain image G(x_k) with
     the per-type ``factored_residual(x_k, G(x_k))``, so ``tol`` and the trace
     mean what they mean for plain sweeps.  From sweep 4 on, the next step
-    folds each pair (x_k, G(x_k)) into a history of at most MIX_DEPTH + 1,
-    and once it holds two pairs mixes the history's images into its input
-    (type-II Anderson mixing; Anderson 1965, Walker & Ni 2011): per type,
-    I + sum_j alpha_j U_j D_j U_j^T re-truncated to the type's rank
+    folds each G(x_k), with the corrections its sweep built, into a history
+    of at most MIX_DEPTH + 1, and once it holds two mixes the history's images
+    into its input (type-II Anderson mixing; Anderson 1965, Walker & Ni 2011):
+    per type, I + sum_j alpha_j U_j D_j U_j^T re-truncated to the type's rank
     (``_mix``), with sum alpha = 1 minimizing the summed norm (in
     ``update_order``) of sum_j alpha_j (G(x_j) - x_j).  So sweep 6's input is
     the first mixed one.  At a limit every image is the same, so the limit
@@ -386,13 +388,12 @@ def solve_lowrank(
     config = config or SolverConfig()
     svd = svd or SvdConfig()
     table = update_plan(network, checked_plan(network, weights, check), svd)
-    history, last_input = [], None  # history: (image, its corrections by type), oldest first
+    history, corrections = [], None  # history: (image, its corrections by type), oldest first
     gram, rises = np.zeros((0, 0)), 0
 
-    def remember(state, new):
+    def remember(image, parts):
         nonlocal gram
-        parts = {name: _correction(state[name], new[name]) for name in table}
-        history.append((new, parts))
+        history.append((image, parts))
         row = [sum(_inner(parts[name], h[1][name]) for name in table) for h in history]
         grown = np.empty((len(row),) * 2)
         grown[:-1, :-1] = gram
@@ -403,23 +404,23 @@ def solve_lowrank(
             gram = gram[1:, 1:]
 
     def step(state, sums):
-        nonlocal gram, rises, last_input
-        # The last sweep's pair (last_input, state) first: its summed residual is sums[-1].
+        nonlocal gram, rises, corrections
+        # The last sweep's image and corrections first: its summed residual is sums[-1].
         if history and sums[-1] > sums[-2]:
             rises += 1
             history.clear()
             gram = np.zeros((0, 0))
             if rises < MAX_RISES:
-                remember(last_input, state)
+                remember(state, corrections)
         elif history or len(sums) == 4:
-            remember(last_input, state)
+            remember(state, corrections)
         if len(history) > 1:
             alpha = _anderson_weights(gram)
             state = dict(state)
             for name, entry in table.items():
                 state[name] = _mix([h[0][name] for h in history], alpha, entry[4])
-        last_input = state
-        return sweep_lowrank(network, state, table, svd.power)
+        state, residuals, corrections = sweep_lowrank(network, state, table, svd.power)
+        return state, residuals
 
     identity = {t.name: FactoredSimilarity.identity(t.size) for t in network.types}
     return iterate(identity, step, config)

@@ -422,6 +422,15 @@ class TestEvalQ:
         assert len(lines) == 2
         assert all(l.endswith("trials=3 unconverged=3") for l in lines)
 
+    def test_lowrank_sweep_report_is_reproducible(self, capsys):
+        # Mean Q counts strict orderings, so on near-tied rank-4 blocks it
+        # follows rounding; it is as reproducible as the factors are.
+        argv = ["eval-q", "--sweep", "0.1:0.3:0.1", "--trials", "2", "--counts", "12,12",
+                "--seed", "1", "--solver", "lowrank", "--ranks", "4"]
+        first, second = run(argv, capsys), run(argv, capsys)
+        assert first[0] == second[0] == EXIT_OK
+        assert first[1] == second[1]
+
     def test_missing_inputs_is_config_error(self, capsys):
         code, _, _ = run(["eval-q"], capsys)
         assert code == EXIT_CONFIG

@@ -366,7 +366,15 @@ class TestSweepLowrank:
         table = update_plan(net, coupling_plan(net, weights), svd)
         chained = []
         for _ in range(4):
-            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            image, residuals, corrections = sweep_lowrank(net, state, table, svd.power)
+            # Each correction is the pair _correction builds, and the
+            # residual is factored_residual of the same input and image.
+            for name in state:
+                q, c = lowrank._correction(state[name], image[name])
+                assert np.array_equal(corrections[name][0], q)
+                assert np.array_equal(corrections[name][1], c)
+                assert residuals[name] == factored_residual(state[name], image[name])
+            state = image
             chained.append(residuals)
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
@@ -430,7 +438,7 @@ class TestSweepLowrank:
         state = {"A": FactoredSimilarity.identity(2)}
         svd = hetsim.SvdConfig(rank=1)
         table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), svd)
-        new, _ = sweep_lowrank(net, state, table, svd.power)
+        new, _, _ = sweep_lowrank(net, state, table, svd.power)
         assert new["A"].rank == 0
         np.testing.assert_array_equal(new["A"].dense(), np.eye(2))
 
@@ -447,7 +455,7 @@ class TestSweepLowrank:
         fstate = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         dstate = hetsim.SimilaritySet.identity(net)
         for _ in range(3):
-            fstate, _ = sweep_lowrank(net, fstate, table, cfg.power)
+            fstate, _, _ = sweep_lowrank(net, fstate, table, cfg.power)
             dstate, _ = hetsim.dense.sweep(net, dstate, plan)
             for t in net.types:
                 diff = np.abs(fstate[t.name].dense() - dstate[t.name]).max()
@@ -611,7 +619,7 @@ class TestAndersonMixing:
         table = update_plan(net, coupling_plan(net, weights), svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         for sweeps in range(1, 1000):  # plain sweeps take over 200 here
-            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            state, residuals, _ = sweep_lowrank(net, state, table, svd.power)
             if sum(residuals.values()) <= 1e-12:
                 break
         assert sweeps > 5 * trace.iterations
@@ -627,7 +635,7 @@ class TestAndersonMixing:
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
         chained = []
         for _ in range(6):
-            state, residuals = sweep_lowrank(net, state, table, svd.power)
+            state, residuals, _ = sweep_lowrank(net, state, table, svd.power)
             chained.append(residuals)
         mixed.clear()  # the chained sweeps above went through the recorder too
         solved, trace = hetsim.solve_lowrank(
@@ -636,6 +644,18 @@ class TestAndersonMixing:
         assert mixed == [6]
         assert trace.per_type[:5] == chained[:5] and trace.per_type[5] != chained[5]
         assert any(not np.array_equal(f.U, state[name].U) for name, f in solved.items())
+
+    def test_each_correction_built_once_per_sweep(self, monkeypatch):
+        # The history folds the corrections the sweep returns; it builds none.
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
+        builds, correction = [], lowrank._correction
+        monkeypatch.setattr(lowrank, "_correction", lambda *a: builds.append(1) or correction(*a))
+        _, trace = hetsim.solve_lowrank(
+            net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-300, max_iter=12),
+            hetsim.SvdConfig(rank=5),
+        )
+        assert trace.iterations == 12
+        assert len(builds) == trace.iterations * len(net.types)
 
     def test_safeguard_restarts_then_switches_off(self, monkeypatch):
         # README's quickstart: synth random --K 3 --N 50 --seed 1, solved at
