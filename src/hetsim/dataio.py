@@ -441,22 +441,29 @@ def _plain_lines(path: Path, type_name: str) -> list[bytes]:
             ends = np.flatnonzero(a == ord("\n"))
             starts = np.concatenate(([0], ends[:-1] + 1))
             crlf = a[ends - 1] == ord("\r")  # a[-1] is a newline
-            commas = np.diff(np.searchsorted(np.flatnonzero(a == ord(",")), ends), prepend=0)
-            if (b'"' in piece or piece.count(b"\r") != crlf.sum()
+            filled = ends - starts != crlf
+            commas = np.flatnonzero(a == ord(","))
+            if (b'"' in piece or np.count_nonzero(a == ord("\r")) != crlf.sum()
                     or (ends - starts).max() > limit
-                    or not ((commas == 3) | (ends - starts == crlf)).all()):
+                    # The commas, in order, fall three to each non-blank line.
+                    or commas.size != 3 * filled.sum()
+                    or (commas[0::3] < starts[filled]).any()
+                    or (commas[2::3] >= ends[filled]).any()):
                 raise _NotPlain
             try:
                 piece.decode()
             except UnicodeDecodeError:
                 raise _NotPlain from None
-            lines = np.arange(len(ends))
+            keep = filled.copy()  # the type's lines
             for j, byte in enumerate(prefix):  # no line ends before a mismatch
-                lines = lines[a[starts[lines] + j] == byte]
-            if lines.size:
-                found.append(b",".join([piece[lo:hi] for lo, hi in zip(
-                    (starts[lines] + len(prefix)).tolist(), (ends - crlf)[lines].tolist()
-                )]))
+                keep[keep] = a[starts[keep] + j] == byte
+            if keep.any():  # one byte mask: their fields and newlines, less any \r
+                mask = np.repeat(keep, np.diff(ends, prepend=-1))
+                mask[starts[keep, None] + np.arange(len(prefix))] = False
+                mask[ends[keep & crlf] - 1] = False
+                fields = a[mask]
+                fields[fields == ord("\n")] = ord(",")
+                found.append(fields[:-1].tobytes())
     return found
 
 
@@ -631,8 +638,10 @@ def export_heatmap(matrix: np.ndarray, path, cell: int = 8) -> None:
         for low, high in zip(_RAMP_LOW, _RAMP_HIGH)
     )
     colors, cell_color = np.unique((r << 16) | (g << 8) | b, return_inverse=True)
-    fills = [f'fill="rgb({c >> 16},{c >> 8 & 255},{c & 255})"/>\n' for c in colors.tolist()]
-    xs = [f'<rect x="{j * cell}" y="' for j in range(cols)]
+    fills = np.array([f'fill="rgb({c >> 16},{c >> 8 & 255},{c & 255})"/>\n'
+                      for c in colors.tolist()], dtype=object)
+    # Each cell's x string, then its y and fill strings, set row by row.
+    row = [f'<rect x="{j * cell}" y="' for j in range(cols) for _ in range(3)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -640,7 +649,8 @@ def export_heatmap(matrix: np.ndarray, path, cell: int = 8) -> None:
             f'height="{rows * cell}" viewBox="0 0 {cols * cell} {rows * cell}">\n'
             f"<!-- linear ramp: {lo:.6g} -> rgb{_RAMP_LOW}, {hi:.6g} -> rgb{_RAMP_HIGH} -->\n"
         )
-        for i, row in enumerate(cell_color.reshape(rows, cols).tolist()):
-            y = f'{i * cell}" width="{cell}" height="{cell}" '
-            fh.write("".join([x + y + fills[c] for x, c in zip(xs, row)]))
+        for i, row_fills in enumerate(fills[cell_color.reshape(rows, cols)]):
+            row[1::3] = [f'{i * cell}" width="{cell}" height="{cell}" '] * cols
+            row[2::3] = row_fills.tolist()
+            fh.write("".join(row))
         fh.write("</svg>\n")

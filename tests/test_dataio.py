@@ -406,6 +406,11 @@ class TestHeatmapOracle:
         np.array([[1e300, -1e300], [0.0, 1.0]]),
         np.array([[1.7976931348623157e308, -1.7976931348623157e308]]),  # overflows
         np.array([[1.0, 1.0 + 2.0**-52]]),
+        # The fills are looked up per row from the array of distinct colours.
+        np.random.default_rng(5).random((4, 6)).T,  # a transposed (non-contiguous) view
+        np.arange(-6, 6).reshape(3, 4),  # integers
+        np.random.default_rng(6).integers(0, 7, (60, 70)) / 6.0,  # 7 colours, each repeated
+        np.full((1, 9), 0.5),  # a row of one colour
     ])
     @pytest.mark.parametrize("cell", [8, 1, 13])
     def test_fixed_cases(self, tmp_path, matrix, cell):
@@ -767,6 +772,31 @@ class TestSimilarityBlockOracle:
                 assert got == want
             else:
                 assert got[0] == want[0] and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("lines, line", [
+        # A 4-comma line next to a 2-comma line: three commas a line in all.
+        ([b"A,a,a,1", b"A,a,b,1,1", b"A,b,1"], 3),
+        ([b"A,a,a,1", b"A,b,1", b"A,a,b,1,1"], 3),
+        # Commas on an otherwise blank line: alone, or with a line of too many
+        # making up three a line in all.
+        ([b"A,a,a,1", b",", b"A,b,b,1"], 3),
+        ([b"A,a,a,1", b"A,a,b,1,,", b","], 3),
+        ([b",,", b"A,a,b,1,"], 2),
+    ])
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_commas_counted_line_by_line(self, tmp_path, lines, line, ending):
+        """A file is plain only if every non-blank line holds 3 commas, not 3
+        per line on the whole; any other reads as csv alone reads it."""
+        path = tmp_path / "similarity.csv"
+        path.write_bytes(ending.join([b"type,row_id,col_id,value", *lines, b""]))
+        fault = (BundleError, f"{path}:{line}: expected 4 fields")
+        for chunk in (1, 5, dataio._CHUNK_BYTES):
+            with mock.patch.object(dataio, "_CHUNK_BYTES", chunk):
+                with mock.patch.object(dataio, "_row_chunks", wraps=dataio._row_chunks) as by_csv:
+                    assert outcome(dataio.read_similarity_block, path, "A") == fault
+                assert by_csv.called
+                with mock.patch.object(dataio, "_plain_lines", side_effect=dataio._NotPlain):
+                    assert outcome(dataio.read_similarity_block, path, "A") == fault
 
     def test_line_over_the_limit_after_a_whole_chunk(self, tmp_path):
         """A chunk that ends at a line end is followed by the next line, read
