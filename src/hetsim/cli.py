@@ -110,8 +110,8 @@ def cmd_check(args) -> int:
 
 
 def _stalling(per_type: list[dict[str, float]]) -> str:
-    """The type with the largest last residual, that residual, and its ratio
-    to the type's residual one sweep earlier."""
+    """The type with the largest last residual (on a tie the first in name
+    order), that residual, and its ratio to its residual one sweep earlier."""
     last = per_type[-1]
     name = max(last, key=last.get)
     text = f"stalling type {name!r}: residual={last[name]:.6g}"

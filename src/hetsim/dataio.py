@@ -152,9 +152,10 @@ def _put(target: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
 
 
 def _put_symmetric(block: np.ndarray, i: np.ndarray, j: np.ndarray, values: np.ndarray) -> None:
-    """``block[i, j] = block[j, i] = value``, row after row."""
-    n = block.shape[1]
-    _put(block, np.stack([i * n + j, j * n + i], axis=1).ravel(), np.repeat(values, 2))
+    """``block[i, j] = block[j, i] = value``, row after row, each pair placed once."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    _put(block, lo * block.shape[1] + hi, values)
+    block[hi, lo] = block[lo, hi]
 
 
 def _quoted(fields) -> list[str]:

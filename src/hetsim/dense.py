@@ -119,8 +119,8 @@ def iterate(state, step, config: SolverConfig):
     ``config.max_iter`` sweeps.
 
     ``sums`` is ``trace.residuals``, the earlier sweeps' summed residuals,
-    which ``step`` only reads.  A sweep's ``per_type`` is recorded as it is
-    and summed here alone, in type-name order (``update_order``), so the
+    which ``step`` only reads.  A sweep's ``per_type``, keyed in
+    ``update_order``, is recorded and summed here alone, as given, so the
     stop and the trace do not depend on listing order.  Returns the last
     iterate and its ``SolveTrace``; raises ``DivergenceError`` when the
     summed residual is not finite, which a non-finite iterate after a finite
@@ -130,7 +130,7 @@ def iterate(state, step, config: SolverConfig):
     for _ in range(config.max_iter):
         t0 = time.perf_counter()
         state, per_type = step(state, trace.residuals)
-        res = sum(per_type[name] for name in sorted(per_type))
+        res = sum(per_type.values())
         trace.seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res)
         trace.per_type.append(per_type)
@@ -144,9 +144,9 @@ def iterate(state, step, config: SolverConfig):
 
 def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
     """Per type t, ``(B, rows)``: B = [w_1 W_1 | ... | w_m W_m] (CSR) over t's
-    incident relations with nonzero weight, in incidence order, each W the
-    relation's ``coupling_operators`` entry oriented toward t (forward when t
-    is the source, reverse otherwise), and per side (w_i, W_i, partner,
+    incident relations with nonzero weight, in incidence order (by name), each
+    W the relation's ``coupling_operators`` entry oriented toward t (forward
+    when t is the source, reverse otherwise), and per side (w_i, W_i, partner,
     start, stop), with start:stop the side's row block of the buffer that B
     multiplies.  Both solvers apply their coupling as B times that buffer."""
     ops = coupling_operators(network)
@@ -170,8 +170,8 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
 
 
 def update_order(network: HeteroNetwork) -> list:
-    """The order in which a sweep updates the types: by name, so iterates do
-    not depend on the order types and relations are listed in."""
+    """The one type order of a solve (sweeps, residual keys, sketch streams):
+    by name, so no bit of a solve depends on the order types are listed in."""
     return sorted(network.types, key=lambda t: t.name)
 
 
@@ -197,7 +197,7 @@ def sweep(
 ) -> tuple[SimilaritySet, dict[str, float]]:
     """One Gauss-Seidel sweep: the blocks are recomputed in ``update_order``,
     each from the newest blocks of its partners.  Returns the new blocks and
-    each type's residual, keyed in listing order.
+    each type's residual, keyed in ``update_order``: neither moves with listing order.
 
     A block's plain update T_t(S) is its coupling with the diagonal reset to
     1, or with ``damping`` c the Lyapunov map c * coupling + (1 - c) I.  Each
@@ -216,7 +216,7 @@ def sweep(
         if state[t.name].shape != (t.size, t.size):
             raise ValueError(f"state shape mismatch on type {t.name!r}")
     blocks = dict(state.blocks)
-    norms = dict.fromkeys(t.name for t in network.types)
+    norms = {}
     for t in update_order(network):
         m = _coupling(t, blocks, plan)
         if damping is None:

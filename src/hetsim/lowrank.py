@@ -290,17 +290,16 @@ def _mix(images: list, alpha: np.ndarray, rank: int) -> FactoredSimilarity:
     return FactoredSimilarity(q @ v, lam)
 
 
-def _rng_for(seed: int, type_index: int):
-    # Independent, seed-derived stream per type.  A solve draws each type's
-    # sketch from it once and reuses that sketch on every sweep, so the solve
-    # iterates one fixed deterministic truncated map; re-sketching per sweep
-    # would keep re-sampling the discarded tail and the residual would jitter
-    # at the truncation level forever.  Anderson mixing changes only the
-    # inputs the map is applied to, not the map, so its limit is still a
-    # fixed point of that one map.  A full-width type draws nothing.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(type_index,))
-    )
+def _rng_for(seed: int, position: int):
+    # Independent, seed-derived stream per ``update_order`` position.  A
+    # solve draws each type's sketch from it once and reuses that sketch on
+    # every sweep, so the solve iterates one fixed deterministic truncated
+    # map; re-sketching per sweep would keep re-sampling the discarded tail
+    # and the residual would jitter at the truncation level forever.
+    # Anderson mixing changes only the inputs the map is applied to, not the
+    # map, so its limit is still a fixed point of that one map.  A
+    # full-width type draws nothing.
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(position,)))
 
 
 def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
@@ -311,10 +310,10 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the weight-only diagonal sum
     w * rownorm^2(W) (the diagonal of B C^T), the rank clamped to the block,
     the Gaussian sketch Omega of rank + oversample columns (``_rng_for`` the
-    type's listing position) and its weight-only image B C^T Omega, or None
-    and None (exact decomposition) when they would fill the block."""
+    type's ``update_order`` position) and its weight-only image B C^T Omega,
+    or None and None (exact decomposition) when they would fill the block."""
     table = {}
-    for t in update_order(network):
+    for position, t in enumerate(update_order(network)):
         stacked, rows = plan[t.name]
         if not rows:
             continue
@@ -323,7 +322,7 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
         width = min(rank + svd.oversample, t.size)
         sketch = None
         if width < t.size:
-            sketch = _rng_for(svd.seed, network.types.index(t)).standard_normal((t.size, width))
+            sketch = _rng_for(svd.seed, position).standard_normal((t.size, width))
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
         c_t = c.T.tocsr()
         image = None if sketch is None else _weight_only(stacked, c_t, sketch)
@@ -336,8 +335,9 @@ def sweep_lowrank(
 ) -> tuple[dict[str, FactoredSimilarity], dict[str, float], dict[str, tuple]]:
     """One Gauss-Seidel sweep in factored form, in ``dense.update_order``.
     Returns the new factors, each type's ``factored_residual`` against
-    ``state`` (keyed in listing order) and its correction, the
-    ``_correction`` pair (Q, C) of which that residual is ||C||_F.
+    ``state`` (keyed in that order) and its correction, the ``_correction``
+    pair (Q, C) of which that residual is ||C||_F; none moves a bit with the
+    order types and relations are listed in.
 
     Per type: assemble the update operator, less its exact diagonal, against
     the partners' newest factors and project it to its rank with ``power``
@@ -345,8 +345,7 @@ def sweep_lowrank(
     representation.  ``table`` is ``update_plan``'s result; a type absent
     there stays I.  ``state`` itself is left as it is.
     """
-    new, corrections = dict(state), {}
-    residuals = dict.fromkeys(t.name for t in network.types)
+    new, corrections, residuals = dict(state), {}, {}
     for t in update_order(network):
         if t.name in table:
             entry = table[t.name]

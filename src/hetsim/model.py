@@ -9,6 +9,7 @@ so that files and solver output stay aligned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -113,11 +114,10 @@ class HeteroNetwork:
         raise NetworkError(f"unknown relation {name!r}")
 
     def incident(self, type_name: str) -> list[Relation]:
-        """Relations touching a type in either role (self-relations once)."""
-        return [
-            r for r in self.relations
-            if r.src.name == type_name or r.dst.name == type_name
-        ]
+        """Relations touching a type in either role (self-relations once), by
+        name, so no sum over a type's sides depends on listing order."""
+        return sorted([r for r in self.relations if type_name in (r.src.name, r.dst.name)],
+                      key=attrgetter("name"))
 
     @property
     def n_entities(self) -> int:

@@ -281,6 +281,56 @@ class TestSolve:
         )
         assert code == EXIT_CONFIG
 
+    def test_listing_order_of_the_schema_reaches_no_result(self, tmp_path, capsys):
+        # A small bibliographic network, whose type and relation names are
+        # not in listing order, written as two bundles that differ only in the
+        # order of schema.json's types and relations lists.
+        rng = np.random.default_rng(5)
+        sizes = {"papers": 40, "venues": 6, "topics": 3, "authors": 12}
+        types = [(name, [f"{name[0]}{i}" for i in range(n)]) for name, n in sizes.items()]
+        relations = []
+        for name, src, dst in (("published_in", "papers", "venues"),
+                               ("written_by", "papers", "authors"),
+                               ("hosts", "venues", "authors")):
+            pairs = np.unique(rng.integers(0, [sizes[src], sizes[dst]], (60, 2)), axis=0)
+            relations.append((name, src, dst, [(f"{src[0]}{i}", f"{dst[0]}{j}") for i, j in pairs]))
+        bundles = [tmp_path / "listed", tmp_path / "reversed"]
+        dataio.save_network(hetsim.build_network(types, relations), bundles[0])
+        dataio.save_network(hetsim.build_network(types[::-1], relations[::-1]), bundles[1])
+        schemas = [json.loads((b / "schema.json").read_text(encoding="utf-8")) for b in bundles]
+        assert schemas[0] != schemas[1]
+        assert all(schemas[0][k] == schemas[1][k][::-1] for k in ("types", "relations"))
+
+        def solve(bundle, solver):
+            out = tmp_path / f"{bundle.name}-{solver}"
+            code, _, _ = run(["solve", "--bundle", str(bundle), "--out", str(out), "--solver",
+                              solver, "--ranks", "3", "--oversample", "2", "--seed", "1",
+                              "--max-iter", "300"], capsys)
+            assert code == EXIT_OK
+            with open(out / "trace.csv", newline="", encoding="utf-8") as f:
+                trace = [row[:2] for row in csv.reader(f)]  # all but the seconds
+            return out, trace
+
+        (first, trace), (second, again) = (solve(b, "lowrank") for b in bundles)
+        assert trace == again and len(trace) > 2
+        for name in sizes:  # sketched (papers, venues, authors) and exact (topics)
+            for part in ("U", "D"):
+                csv_name = f"factors/{part}_{name}.csv"
+                assert (first / csv_name).read_bytes() == (second / csv_name).read_bytes()
+        # The manifest lists the types in the bundle's order and is otherwise the same.
+        manifests = [json.loads((o / "factors" / "factors.json").read_text(encoding="utf-8"))
+                     for o in (first, second)]
+        assert manifests[0]["types"] == manifests[1]["types"][::-1]
+        assert manifests[0] == {**manifests[1], "types": manifests[0]["types"]}
+
+        (first, trace), (second, again) = (solve(b, "dense") for b in bundles)
+        assert trace == again and len(trace) > 2
+        nets = [dataio.load_network(b)[0] for b in bundles]
+        mine, theirs = (dataio.load_similarity(o / "similarity.csv", net)
+                        for o, net in zip((first, second), nets))
+        for name in sizes:
+            assert np.array_equal(mine[name], theirs[name])
+
     def test_effective_config_line_printed(self, tmp_path, capsys):
         write_toy_bundle(tmp_path / "toy")
         _, stdout, _ = run(

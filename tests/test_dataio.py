@@ -718,6 +718,21 @@ class TestSimilarityBlockOracle:
     chunk size; a plain file is read without csv, and any faulty one as csv
     alone would read it."""
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), FINITE),
+                             max_size=20))))
+    def test_pairs_placed_as_row_by_row(self, drawn):
+        # Repeated and mirrored cells: the later row wins both of its cells.
+        n, rows = drawn
+        want, got = np.eye(n), np.eye(n)
+        for i, j, value in rows:
+            want[i, j] = want[j, i] = value
+        i = np.array([r[0] for r in rows], dtype=np.int64)
+        j = np.array([r[1] for r in rows], dtype=np.int64)
+        dataio._put_symmetric(got, i, j, np.array([r[2] for r in rows], dtype=float))
+        assert same_bits(got, want)
+
     @settings(max_examples=300, deadline=None)
     @given(similarity_files())
     # An asked type name with a comma, which a plain file cannot hold.

@@ -166,7 +166,7 @@ def test_bare_sweep_moves_every_block_relax_times_its_correction(damping):
     """``sweep(..., relax=RELAX)`` on its own: each block in ``update_order``
     moves RELAX times its plain correction, later types reading the moved
     blocks, and the sweep returns the plain corrections' norms keyed in
-    listing order (here the reverse of update order)."""
+    update order, not in listing order (here its reverse)."""
     base = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=20, seed=3))
     net = hetsim.build_network(
         [(t.name, t.ids) for t in reversed(base.types)],
@@ -175,7 +175,7 @@ def test_bare_sweep_moves_every_block_relax_times_its_correction(damping):
     plan = coupling_plan(net, hetsim.default_weights(net))
     state, _ = sweep(net, hetsim.SimilaritySet.identity(net), plan, damping)
     new, norms = sweep(net, state, plan, damping, relax=dense.RELAX)
-    assert list(norms) == [t.name for t in net.types] != [t.name for t in dense.update_order(net)]
+    assert list(norms) == [t.name for t in dense.update_order(net)] != [t.name for t in net.types]
     blocks = dict(state.blocks)
     for t in dense.update_order(net):
         plain = dense._coupling(t, blocks, plan)
@@ -284,12 +284,11 @@ def networks_and_reorderings(draw):
 @settings(max_examples=25, deadline=None)
 @given(case=networks_and_reorderings())
 def test_solution_does_not_depend_on_listing_order(case, solve):
-    # The plan stacks a type's sides in the order of its incident relations,
-    # so reordering the relations moves only the rounding of each coupling
-    # sum; reordering the types alone moves no bit
-    # (test_reordering_only_the_types_is_bit_exact).  The relaxation decision
-    # and the stop read iterate's sums, in type-name order, which move only
-    # by that rounding, so the sweep count holds.
+    # The plan stacks a type's sides in incidence order, by relation name,
+    # and sweeps update and key the types in name order, so reordering the
+    # types and relations moves no bit
+    # (test_reordering_types_and_relations_is_bit_exact); this checks the
+    # weaker promise, the sweep count and the blocks to 1e-12.
     config = hetsim.SolverConfig(tol=1e-12, max_iter=500)
     (first, trace), (second, again) = (
         solve(net, hetsim.default_weights(net), config) for net in case
@@ -321,9 +320,15 @@ def networks_and_type_reorderings(draw):
 
 def _solve_lowrank_full_width(net, weights, config):
     # Rank as wide as the largest block and no oversampling: every type is
-    # decomposed exactly, so no sketch, keyed by listing position, is drawn.
+    # decomposed exactly, so no sketch is drawn.
     svd = hetsim.SvdConfig(rank=max(t.size for t in net.types), oversample=0)
     return hetsim.solve_lowrank(net, weights, config, svd)
+
+
+def _solve_lowrank_sketched(net, weights, config):
+    # Rank 2 plus 1 oversampled column, below every type's size in
+    # networks_and_full_reorderings: every type's sketch is drawn.
+    return hetsim.solve_lowrank(net, weights, config, hetsim.SvdConfig(rank=2, oversample=1))
 
 
 def _arrays(state):
@@ -340,8 +345,8 @@ def _arrays(state):
 @settings(max_examples=25, deadline=None)
 @given(case=networks_and_type_reorderings())
 def test_reordering_only_the_types_is_bit_exact(case, solve):
-    # Sweeps update the types in name order, each type's sides stay in the
-    # relations' order, and iterate sums each sweep's residuals in name
+    # Sweeps update the types in name order, each type's sides stay in
+    # relation-name order, and iterate sums each sweep's residuals in name
     # order, so listing the types in another order moves no bit: not of a
     # block, not of the trace, not of the stop.
     config = hetsim.SolverConfig(tol=1e-12, max_iter=300)
@@ -351,6 +356,52 @@ def test_reordering_only_the_types_is_bit_exact(case, solve):
     assert trace.iterations == again.iterations
     assert trace.residuals == again.residuals
     assert trace.per_type == again.per_type
+    mine, theirs = _arrays(first), _arrays(second)
+    assert mine.keys() == theirs.keys()
+    for name, arrays in mine.items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, theirs[name], strict=True))
+
+
+@st.composite
+def networks_and_full_reorderings(draw):
+    """random_network(k in [3, 5], n in [8, 15]) and the same network with its
+    types and relations listed in a drawn order.  Every type holds at least
+    4 entities, so a rank-2 solve with 1 oversampled column sketches them all."""
+    spec = hetsim.RandomNetworkSpec(
+        k=draw(st.integers(3, 5)), n=draw(st.integers(8, 15)), seed=draw(st.integers(0, 2**32 - 1))
+    )
+    net = hetsim.random_network(spec)
+    types = draw(st.permutations(net.types))
+    relations = draw(st.permutations(net.relations))
+    reordered = hetsim.build_network(
+        [(t.name, t.ids) for t in types],
+        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in relations],
+    )
+    return net, reordered
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [hetsim.solve_dense, hetsim.solve_lyapunov, _solve_lowrank_sketched, _solve_lowrank_full_width],
+    ids=["dense", "lyapunov", "lowrank-sketched", "lowrank-full-width"],
+)
+@settings(max_examples=25, deadline=None)
+@given(case=networks_and_full_reorderings())
+def test_reordering_types_and_relations_is_bit_exact(case, solve):
+    # Each type's sides are summed in relation-name order (incident), sweeps
+    # update and key the types in name order, and each sketch is drawn from
+    # the stream at its type's position in that order, so listing the types
+    # and relations in another order moves no bit: not of a block or a
+    # factor, not of the trace, not of the stop.
+    config = hetsim.SolverConfig(tol=1e-12, max_iter=300)
+    (first, trace), (second, again) = (
+        solve(net, hetsim.default_weights(net), config) for net in case
+    )
+    assert trace.iterations == again.iterations
+    assert trace.residuals == again.residuals
+    names = sorted(t.name for t in case[0].types)
+    assert [list(p) for p in trace.per_type] == [names] * trace.iterations
+    assert [list(p.items()) for p in trace.per_type] == [list(p.items()) for p in again.per_type]
     mine, theirs = _arrays(first), _arrays(second)
     assert mine.keys() == theirs.keys()
     for name, arrays in mine.items():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hetsim
 from hetsim import lowrank
-from hetsim.dense import coupling_plan
+from hetsim.dense import coupling_plan, update_order
 from hetsim.lowrank import (
     FactoredSimilarity,
     UpdateOperator,
@@ -355,7 +355,11 @@ def test_solver_operator_is_the_explicit_weighted_sum(case):
 
 class TestSweepLowrank:
     def test_solve_is_chained_sweeps_from_identity(self):
-        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
+        base = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
+        net = hetsim.build_network(  # listed in the reverse of name order
+            [(t.name, t.ids) for t in reversed(base.types)],
+            [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in reversed(base.relations)],
+        )
         weights = hetsim.default_weights(net)
         svd = hetsim.SvdConfig(rank=5, seed=7)
         solved, trace = hetsim.solve_lowrank(
@@ -379,9 +383,12 @@ class TestSweepLowrank:
         for name, f in solved.items():
             assert np.array_equal(f.U, state[name].U)
             assert np.array_equal(f.d, state[name].d)
-        # The trace holds each sweep's own residuals, keyed in listing order.
+        # The trace holds each sweep's own residuals, keyed in update order,
+        # not in listing order.
         assert trace.per_type == chained
-        assert all(list(r) == [t.name for t in net.types] for r in chained)
+        names = [t.name for t in update_order(net)]
+        assert names != [t.name for t in net.types]
+        assert all(list(r) == names for r in chained)
 
     def test_each_sketch_drawn_once_per_solve(self, monkeypatch):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=30, seed=2))
@@ -405,11 +412,12 @@ class TestSweepLowrank:
             net, hetsim.default_weights(net), hetsim.SolverConfig(tol=1e-300, max_iter=6), svd
         )
         assert trace.iterations == 6
-        assert sorted(draws) == [i for i, t in enumerate(net.types) if t is not full]
+        assert sorted(draws) == [i for i, t in enumerate(update_order(net)) if t is not full]
 
     def test_solve_matches_a_fresh_stream_every_sweep(self):
         # Drawing once per solve is an optimization only: each sweep still
-        # projects on the sketch a fresh _rng_for(seed, i) stream would draw.
+        # projects on the sketch a fresh _rng_for(seed, i) stream would draw,
+        # i the type's position in update order.
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=40, seed=6))
         weights = hetsim.default_weights(net)
         svd = hetsim.SvdConfig(rank=4, oversample=5, power=1, seed=3)
@@ -420,13 +428,13 @@ class TestSweepLowrank:
         plan = coupling_plan(net, weights)
         table = update_plan(net, plan, svd)
         state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
-        listed = {t.name: i for i, t in enumerate(net.types)}
+        position = {t.name: i for i, t in enumerate(update_order(net))}
         for _ in range(5):  # types in name order, each on its partners' newest factors
-            for name in sorted(listed):
+            for name in position:
                 t = net.type(name)
                 assert plan[name][1]
                 op = build_update_operator(state, table[name])
-                sketch = lowrank._rng_for(3, listed[name]).standard_normal((t.size, 9))
+                sketch = lowrank._rng_for(3, position[name]).standard_normal((t.size, 9))
                 u, d = randomized_eig(op, 4, sketch, 1)
                 state[name] = FactoredSimilarity(u, d)
         for name, f in solved.items():
