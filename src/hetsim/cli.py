@@ -189,10 +189,12 @@ def cmd_eval_q(args) -> int:
                 spec = synth.LayeredGraphSpec(counts=counts, radius=r, seed=seed)
                 network, points = synth.layered_points_graph(spec)
                 result, trace = _solve(network, model.default_weights(network), args, seed)
+                block = result["layer0"]  # the sweep prints layer 0's quality alone
                 if args.solver == "lowrank":
-                    result = {name: f.dense() for name, f in result.items()}
+                    block = block.dense()
                 unconverged += not trace.converged
-                qs.append(synth.layer_quality(points, result)[0])
+                qs.append(synth.ordering_quality(synth.geometric_ground_truth(points.layers[0]),
+                                                 block))
             print(f"r={r:g} meanQ={np.mean(qs):.6g} trials={len(qs)} "
                   f"unconverged={unconverged}")
         return EXIT_OK
@@ -216,6 +218,8 @@ def cmd_eval_q(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if bool(args.factors) == bool(args.similarity):
+        raise ConfigError("query takes exactly one of --factors and --similarity")
     if args.factors:
         # Entity ids live in the bundle; the factors container stores indices.
         if not args.bundle:
@@ -230,29 +234,27 @@ def cmd_query(args) -> int:
         if states[args.type].n != t.size:
             raise dataio.BundleError(f"factors for type {args.type!r} do not fit the bundle")
         results = lowrank.top_k(states[args.type], index[args.id], args.k)
-    elif args.similarity:
+    else:
         ids, block = dataio.read_similarity_block(args.similarity, args.type)
         index = {eid: i for i, eid in enumerate(ids)}
         if args.id not in index:
             raise ConfigError(f"unknown entity id {args.id!r} in type {args.type!r}")
         results = lowrank.rank_others(block[index[args.id]], index[args.id], args.k)
-    else:
-        raise ConfigError("query needs --factors or --similarity")
     for rank, (j, score) in enumerate(results, start=1):
         print(f"{rank},{ids[j]},{'%.17g' % score}")
     return EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
+    if bool(args.factors) == bool(args.similarity):
+        raise ConfigError("heatmap takes exactly one of --factors and --similarity")
     if args.similarity:
         _, block = dataio.read_similarity_block(args.similarity, args.type)
-    elif args.factors:
+    else:
         states = dataio.load_factors(args.factors, only=args.type)
         if args.type not in states:
             raise ConfigError(f"no factors for type {args.type!r}")
         block = states[args.type].dense()
-    else:
-        raise ConfigError("heatmap needs --similarity or --factors")
     dataio.export_heatmap(block, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
             args.seed = _seed(args.seed)
         _echo_config(args.command, args)
         return args.func(args)
-    except (dataio.BundleError, OSError) as exc:
+    except (dataio.BundleError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except dense.DivergenceError as exc:

@@ -279,14 +279,15 @@ def _anderson_weights(gram: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _mix(images: list, alpha: np.ndarray, rank: int) -> FactoredSimilarity:
-    """I + sum_j alpha_j U_j D_j U_j^T re-truncated to ``rank``: ``eigh`` of the
-    core ``_stacked`` builds on the newest U (orthonormal) and the older ones,
-    and its ``rank`` eigenpairs largest in magnitude, as ``randomized_eig``'s."""
+def _mix(images: list, alpha: np.ndarray) -> FactoredSimilarity:
+    """I + sum_j alpha_j U_j D_j U_j^T re-truncated to the newest image's rank:
+    ``eigh`` of the core ``_stacked`` builds on the newest U (orthonormal) and
+    the older ones, and its eigenpairs largest in magnitude, as
+    ``randomized_eig``'s, which returns exactly the rank it is asked for."""
     *older, newest = images
     q, core = _stacked(newest.U, alpha[-1] * newest.d, np.hstack([f.U for f in older]),
                        np.concatenate([a * f.d for a, f in zip(alpha, older)]))
-    v, lam = _largest(*np.linalg.eigh(core), rank)
+    v, lam = _largest(*np.linalg.eigh(core), newest.rank)
     return FactoredSimilarity(q @ v, lam)
 
 
@@ -372,17 +373,20 @@ def solve_lowrank(
 
     Each step sweeps its input x_k and returns the plain image G(x_k) with
     the per-type ``factored_residual(x_k, G(x_k))``, so ``tol`` and the trace
-    mean what they mean for plain sweeps.  From sweep 4 on, the next step
-    folds each G(x_k), with the corrections its sweep built, into a history
-    of at most MIX_DEPTH + 1, and once it holds two mixes the history's images
-    into its input (type-II Anderson mixing; Anderson 1965, Walker & Ni 2011):
-    per type, I + sum_j alpha_j U_j D_j U_j^T re-truncated to the type's rank
-    (``_mix``), with sum alpha = 1 minimizing the summed norm (in
-    ``update_order``) of sum_j alpha_j (G(x_j) - x_j).  So sweep 6's input is
-    the first mixed one.  At a limit every image is the same, so the limit
-    is a fixed point of the plain truncated map.  A sweep whose summed
-    residual (``iterate``'s sums) rises drops the history, so the next input
-    is that sweep's image; the MAX_RISES-th rise turns mixing off for good.
+    mean what they mean for plain sweeps.  The history rule: from sweep 4 on,
+    each G(x_k) joins the history with the corrections its sweep built, until
+    the MAX_RISES-th rise of the summed residual (``iterate``'s sums), and
+    every rise from sweep 5 on first drops the history, so the next input is
+    that image.
+    The history keeps the last MIX_DEPTH + 1 pairs, and a join takes inner
+    products only with the pairs it keeps.  Once it holds two, the step
+    mixes their images into its input (type-II Anderson mixing; Anderson
+    1965, Walker & Ni 2011): per type, I + sum_j alpha_j U_j D_j U_j^T
+    re-truncated to the type's rank (``_mix``), with sum alpha = 1
+    minimizing the summed norm (in ``update_order``) of sum_j alpha_j
+    (G(x_j) - x_j).  So sweep 6's input is the first mixed one.  At a limit
+    every image is the same, so the limit is a fixed point of the plain
+    truncated map.
     """
     config = config or SolverConfig()
     svd = svd or SvdConfig()
@@ -390,34 +394,25 @@ def solve_lowrank(
     history, corrections = [], None  # history: (image, its corrections by type), oldest first
     gram, rises = np.zeros((0, 0)), 0
 
-    def remember(image, parts):
-        nonlocal gram
-        history.append((image, parts))
-        row = [sum(_inner(parts[name], h[1][name]) for name in table) for h in history]
-        grown = np.empty((len(row),) * 2)
-        grown[:-1, :-1] = gram
-        grown[-1] = grown[:, -1] = row
-        gram = grown
-        if len(history) > MIX_DEPTH + 1:
-            del history[0]
-            gram = gram[1:, 1:]
-
     def step(state, sums):
-        nonlocal gram, rises, corrections
-        # The last sweep's image and corrections first: its summed residual is sums[-1].
-        if history and sums[-1] > sums[-2]:
-            rises += 1
-            history.clear()
-            gram = np.zeros((0, 0))
+        nonlocal history, corrections, gram, rises
+        # The last sweep's image joins with its corrections; its summed residual is sums[-1].
+        if len(sums) >= 4 and rises < MAX_RISES:
+            if history and sums[-1] > sums[-2]:  # sweep 4's pair opens it: no rise counts there
+                rises += 1
+                history, gram = [], np.zeros((0, 0))
             if rises < MAX_RISES:
-                remember(state, corrections)
-        elif history or len(sums) == 4:
-            remember(state, corrections)
+                history = history[-MIX_DEPTH:] + [(state, corrections)]
+                row = [sum(_inner(corrections[name], h[1][name]) for name in table)
+                       for h in history]
+                kept, gram = gram[1 - len(row):, 1 - len(row):], np.empty((len(row),) * 2)
+                gram[:-1, :-1] = kept
+                gram[-1] = gram[:, -1] = row
         if len(history) > 1:
             alpha = _anderson_weights(gram)
             state = dict(state)
-            for name, entry in table.items():
-                state[name] = _mix([h[0][name] for h in history], alpha, entry[4])
+            for name in table:
+                state[name] = _mix([h[0][name] for h in history], alpha)
         state, residuals, corrections = sweep_lowrank(network, state, table, svd.power)
         return state, residuals
 

@@ -481,6 +481,17 @@ class TestEvalQ:
         assert first[0] == second[0] == EXIT_OK
         assert first[1] == second[1]
 
+    @pytest.mark.parametrize("solver", [["--solver", "dense"],
+                                        ["--solver", "lowrank", "--ranks", "4"]])
+    def test_sweep_scores_only_the_printed_layer(self, capsys, monkeypatch, solver):
+        calls, quality = [], hetsim.synth.ordering_quality
+        monkeypatch.setattr(hetsim.synth, "ordering_quality",
+                            lambda *a: calls.append(1) or quality(*a))
+        code, _, _ = run(["eval-q", "--sweep", "0.2:0.3:0.1", "--trials", "2",
+                          "--counts", "8,8,8", "--max-iter", "30", "--seed", "0", *solver], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 2 * 2  # one per trial at each of the two radii
+
     def test_missing_inputs_is_config_error(self, capsys):
         code, _, _ = run(["eval-q"], capsys)
         assert code == EXIT_CONFIG
@@ -668,6 +679,19 @@ class TestQueryAndHeatmap:
         )
         assert code == EXIT_OK
         assert "<svg" in out.read_text()
+
+    @pytest.mark.parametrize("command", ["query", "heatmap"])
+    def test_both_sources_is_config_error(self, tmp_path, capsys, command):
+        # Refused before any file is read: neither source exists.
+        argv = {
+            "query": ["query", "--bundle", str(tmp_path / "toy"), "--id", "a1"],
+            "heatmap": ["heatmap", "--out", str(tmp_path / "a.svg")],
+        }[command]
+        code, _, stderr = run([*argv, "--factors", str(tmp_path / "f"), "--similarity",
+                               str(tmp_path / "s.csv"), "--type", "A"], capsys)
+        assert code == EXIT_CONFIG
+        assert f"error: {command} takes exactly one of --factors and --similarity" in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("types,plain", [
@@ -1043,6 +1067,21 @@ class TestMissingKeys:
              "--out", str(tmp_path / "a.svg")]
         )
         assert f"U_A.csv: shape ({n}, {rank}) needs more rows than the file holds" in stderr
+
+    def test_block_too_large_to_allocate_is_io_error(self, tmp_path):
+        # Rank 0 needs no factor rows, so this manifest passes every check; its
+        # dense block asks numpy for 6.9 EiB, which it refuses without touching memory.
+        factors, path = self._manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["types"][0].update(n=10**9, rank=0)
+        path.write_text(json.dumps(manifest))
+        (factors / "U_A.csv").write_text("row,col,value\r\n")
+        (factors / "D_A.csv").write_text("k,value\r\n")
+        stderr = self._exits_with_io_error(
+            ["heatmap", "--factors", str(factors), "--type", "A",
+             "--out", str(tmp_path / "a.svg")]
+        )
+        assert stderr.startswith("error: ")
 
     def test_factor_file_with_a_missing_row_is_io_error(self, tmp_path, capsys, monkeypatch):
         # The README quickstart's low-rank factors, one data row of U_c0.csv gone.

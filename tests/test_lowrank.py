@@ -684,6 +684,28 @@ class TestAndersonMixing:
         assert any(rises[0] < k < rises[-1] for k in mixed)  # restarted
         assert max(mixed) <= rises[-1] < trace.iterations  # switched off
 
+    def test_gram_rows_take_only_the_kept_pairs(self, monkeypatch):
+        # README's quickstart, as above.  Each join takes one inner product per
+        # type with every pair the history keeps after it, itself included, and
+        # none with a pair it drops.
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=50, seed=1))
+        weights, svd = hetsim.default_weights(net), hetsim.SvdConfig(rank=10, seed=1)
+        calls, inner = [], lowrank._inner
+        monkeypatch.setattr(lowrank, "_inner", lambda *a: calls.append(1) or inner(*a))
+        _, trace = hetsim.solve_lowrank(net, weights, hetsim.SolverConfig(tol=1e-6, max_iter=200),
+                                        svd)
+        sums = [sum(p[name] for name in sorted(p)) for p in trace.per_type]
+        depth, rises, kept = 0, 0, []
+        for k in range(3, len(sums) - 1):  # sweep k + 1's pair joins before sweep k + 2
+            if depth and sums[k] > sums[k - 1]:
+                rises, depth = rises + 1, 0
+            if rises < lowrank.MAX_RISES:
+                depth = min(depth + 1, lowrank.MIX_DEPTH + 1)
+                kept.append(depth)
+        assert rises == lowrank.MAX_RISES and max(kept) == lowrank.MIX_DEPTH + 1
+        table = update_plan(net, coupling_plan(net, weights), svd)
+        assert len(calls) == len(table) * sum(kept)
+
     def test_equal_factor_pairs_give_a_gram_entry_at_rounding(self):
         for u, d in TestSolveLowrank._orthonormal_pairs():
             f = FactoredSimilarity(u, d)
@@ -710,7 +732,7 @@ class TestAndersonMixing:
         rng = np.random.default_rng(5)
         u, _ = np.linalg.qr(rng.standard_normal((40, 6)))
         f = FactoredSimilarity(u, rng.uniform(-30, 30, 6))
-        mixed = lowrank._mix([f] * 4, np.array([0.7, -0.4, 1.2, -0.5]), 6)
+        mixed = lowrank._mix([f] * 4, np.array([0.7, -0.4, 1.2, -0.5]))
         np.testing.assert_allclose(mixed.dense(), f.dense(), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mixed.U.T @ mixed.U, np.eye(6), rtol=0, atol=1e-14)
 
