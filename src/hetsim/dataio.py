@@ -389,16 +389,18 @@ def save_trace(trace: SolveTrace, path) -> None:
 
 
 def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
-    """Every block of ``network`` from a similarity CSV: unit diagonal, each
-    row setting its cell and the mirrored one, later rows winning."""
+    """Every block of ``network`` from a similarity CSV that has rows for each:
+    unit diagonal, each row setting its cell and the mirrored one, later rows winning."""
     blocks = {t.name: np.eye(t.size) for t in network.types}
     types = {t.name: t for t in network.types}
+    unseen = dict.fromkeys(types)  # in network order
 
     def read(chunks):
         for rows in chunks:
             for tname in {r[0] for r in rows}:
                 if tname not in types:
                     raise _Malformed(f"unknown type {tname!r}")
+                unseen.pop(tname, None)
                 index = types[tname].index
                 _, rids, cids, values = zip(*(r for r in rows if r[0] == tname))
                 try:
@@ -409,6 +411,8 @@ def load_similarity(path, network: HeteroNetwork) -> SimilaritySet:
                                _numbers(values, f"malformed value {values[0]!r}"))
 
     _read(Path(path), _SIM_HEADER, read)
+    if unseen:
+        raise BundleError(f"{Path(path)}: no rows for type {next(iter(unseen))!r}")
     return SimilaritySet(blocks)
 
 
@@ -588,26 +592,29 @@ def save_points(points: PointCloud, path) -> None:
 
 
 def load_points(path) -> PointCloud:
-    """A point cloud from its CSV: one layer per distinct layer number, in
-    ascending order, each holding its points, in [0, 1]^2, in row order."""
+    """A point cloud from its CSV: layer k holds the points, in [0, 1]^2 and in
+    row order, of the rows numbered k, which must run from 0 with no gap."""
     p, message = Path(path), "malformed point row"
 
     def read(chunks):
-        parts = []
+        parts = [(np.empty(0, np.int64), np.empty((0, 2)))]
         for rows in chunks:
             k, x, y = zip(*rows)
             layer = _numbers(k, message, np.int64)
+            if (layer < 0).any():
+                raise _Malformed("negative layer number")
             xy = np.column_stack([_numbers(x, message), _numbers(y, message)])
             if ((xy < 0.0) | (xy > 1.0)).any():
                 raise _Malformed("coordinates must lie in [0, 1]")
             parts.append((layer, xy))
         return parts
 
-    parts = _read(p, ["layer", "x", "y"], read)
-    if not parts:
-        raise BundleError(f"{p}: no points")
-    layer, xy = (np.concatenate(c) for c in zip(*parts))
-    return PointCloud(tuple(xy[layer == k] for k in np.unique(layer)))
+    layer, xy = (np.concatenate(c) for c in zip(*_read(p, ["layer", "x", "y"], read)))
+    numbers = np.unique(layer)  # n distinct numbers >= 0: 0 .. n-1, or one of these is missing
+    missing = np.setdiff1d(np.arange(max(len(numbers), 1)), numbers)
+    if missing.size:
+        raise BundleError(f"{p}: no points in layer {missing[0]}")
+    return PointCloud(tuple(xy[layer == k] for k in numbers))
 
 
 # Two-stop linear color ramp for heatmaps (low -> high).

@@ -196,6 +196,8 @@ class WeightMatrix:
 
     def __post_init__(self):
         for (t, r), w in self.entries.items():
+            if not -np.inf < w < np.inf:  # NaN too: every comparison with it is false
+                raise NetworkError(f"non-finite weight for ({t!r}, {r!r})")
             if w < 0:
                 raise NetworkError(f"negative weight for ({t!r}, {r!r})")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HeteroNetwork, NetworkError, build_network
+from .model import EntityType, HeteroNetwork, NetworkError, Relation
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,20 @@ def random_network(spec: RandomNetworkSpec) -> HeteroNetwork:
     """
     rng = np.random.default_rng(spec.seed)
     sizes = rng.integers(spec.n // 2, spec.n + 1, size=spec.k)
-    sizes = np.maximum(sizes, 1)
-    type_specs = [
-        (f"c{i}", [f"c{i}_{j}" for j in range(sizes[i])]) for i in range(spec.k)
-    ]
-    relation_specs = []
+    types = tuple(EntityType(f"c{i}", tuple(f"c{i}_{j}" for j in range(sizes[i])))
+                  for i in range(spec.k))
+    relations = []
     for i in range(spec.k):
         for j in range(i + 1, spec.k):
-            si, sj = int(sizes[i]), int(sizes[j])
+            si, sj = types[i].size, types[j].size
             m = 2 * min(si, sj)
             if m > si * sj:
-                raise NetworkError(
-                    f"cannot place {m} distinct edges on a {si}x{sj} grid "
-                    f"(classes c{i}, c{j}); increase n"
-                )
+                raise NetworkError(f"cannot place {m} distinct edges on a {si}x{sj} grid "
+                                   f"(classes c{i}, c{j}); increase n")
             cells = rng.choice(si * sj, size=m, replace=False)
             rows, cols = np.divmod(cells, sj)
-            edges = [(f"c{i}_{a}", f"c{j}_{b}") for a, b in zip(rows, cols)]
-            relation_specs.append((f"r_c{i}_c{j}", f"c{i}", f"c{j}", edges))
-    return build_network(type_specs, relation_specs)
+            relations.append(Relation(f"r_c{i}_c{j}", types[i], types[j], rows, cols))
+    return HeteroNetwork(types, tuple(relations))
 
 
 @dataclass(frozen=True)
@@ -95,22 +90,17 @@ def layered_points_graph(
     """
     if points is None:
         rng = np.random.default_rng(spec.seed)
-        points = PointCloud(
-            tuple(rng.uniform(0.0, 1.0, size=(c, 2)) for c in spec.counts)
-        )
+        points = PointCloud(tuple(rng.uniform(0.0, 1.0, size=(c, 2)) for c in spec.counts))
     elif tuple(p.shape[0] for p in points.layers) != tuple(spec.counts):
         raise ValueError("point cloud does not match the layer counts")
-    type_specs = [
-        (f"layer{k}", [f"p{k}_{i}" for i in range(c)])
-        for k, c in enumerate(spec.counts)
-    ]
-    relation_specs = []
-    for k in range(1, len(spec.counts)):
+    types = tuple(EntityType(f"layer{k}", tuple(f"p{k}_{i}" for i in range(c)))
+                  for k, c in enumerate(spec.counts))
+    relations = []
+    for k in range(1, len(types)):
         dist = _distances(points.layers[k], points.layers[k - 1])
         ii, jj = np.nonzero(dist < spec.radius)
-        edges = [(f"p{k}_{a}", f"p{k - 1}_{b}") for a, b in zip(ii, jj)]
-        relation_specs.append((f"r{k}", f"layer{k}", f"layer{k - 1}", edges))
-    return build_network(type_specs, relation_specs), points
+        relations.append(Relation(f"r{k}", types[k], types[k - 1], ii, jj))
+    return HeteroNetwork(types, tuple(relations)), points
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -534,6 +534,42 @@ class TestEvalQ:
         assert f"{bundle / 'points.csv'}: layer 1 has fewer than 2 points" in stderr
         assert "Q =" not in stdout
 
+    @staticmethod
+    def _solved_layered(tmp_path, capsys, counts, seed):
+        """A ``synth layered --r 0.6`` bundle and its dense ``solve`` dump."""
+        bundle, out = tmp_path / "b", tmp_path / "o"
+        assert run(["synth", "layered", "--counts", counts, "--r", "0.6", "--seed", seed,
+                    "--out", str(bundle)], capsys)[0] == EXIT_OK
+        assert run(["solve", "--bundle", str(bundle), "--out", str(out)], capsys)[0] == EXIT_OK
+        return bundle, out / "similarity.csv"
+
+    @staticmethod
+    def _drop_lines(path, prefix):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(prefix)))
+
+    def test_points_missing_a_layer_are_io_error(self, tmp_path, capsys):
+        """points.csv is read by layer number: with layer 1's rows gone, layer
+        2's points are not scored as layer 1's; points.csv is named, exit 4."""
+        bundle, similarity = self._solved_layered(tmp_path, capsys, "5,5,5", "1")
+        self._drop_lines(bundle / "points.csv", "1,")
+        code, stdout, stderr = run(["eval-q", "--bundle", str(bundle), "--similarity",
+                                    str(similarity)], capsys)
+        assert code == EXIT_IO
+        assert f"{bundle / 'points.csv'}: no points in layer 1" in stderr
+        assert not [line for line in stdout.splitlines() if line.startswith("Q")]
+
+    def test_similarity_missing_a_type_is_io_error(self, tmp_path, capsys):
+        """A dump with no rows for a type of the bundle is refused, not read
+        as the identity block: the dump is named, exit 4."""
+        bundle, similarity = self._solved_layered(tmp_path, capsys, "6,6", "2")
+        self._drop_lines(similarity, "layer0,")
+        code, stdout, stderr = run(["eval-q", "--bundle", str(bundle), "--similarity",
+                                    str(similarity)], capsys)
+        assert code == EXIT_IO
+        assert f"{similarity}: no rows for type 'layer0'" in stderr
+        assert not [line for line in stdout.splitlines() if line.startswith("Q")]
+
     @pytest.mark.parametrize("counts", ["1,3", "4,0"])
     def test_sweep_with_a_layer_below_two_points_is_config_error(
         self, capsys, monkeypatch, counts

@@ -205,6 +205,33 @@ class TestPointsRoundTrip:
         with pytest.raises(BundleError, match=exactly(f"{path}:3: coordinates must lie in [0, 1]")):
             dataio.load_points(path)
 
+    @pytest.mark.parametrize("row", ["-1,0.5,0.5", "-2,0,0", "-9223372036854775808,0,0"])
+    def test_negative_layer_reported_with_line(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"layer,x,y\n0,0.25,0.5\n{row}\n1,0.5,0.5\n")
+        with pytest.raises(BundleError, match=exactly(f"{path}:3: negative layer number")):
+            dataio.load_points(path)
+
+    @pytest.mark.parametrize("layers, missing", [
+        ([1, 2], 0), ([0, 2], 1), ([2, 0, 3, 1, 5], 4), ([0, 0, 7, 0], 1),
+        ([0, 2**62], 1), ([], 0),
+    ])
+    def test_layer_with_no_points_refused(self, tmp_path, layers, missing):
+        """Layers are read by number: a number below the largest with no
+        points is refused for the whole file, not renumbered away."""
+        path = tmp_path / "points.csv"
+        path.write_text("layer,x,y\n" + "".join(f"{k},0.5,0.5\n" for k in layers))
+        with pytest.raises(BundleError, match=exactly(f"{path}: no points in layer {missing}")):
+            dataio.load_points(path)
+
+    def test_layers_read_by_number_in_any_row_order(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("layer,x,y\n1,0.1,0.1\n0,0.2,0.2\n2,0.3,0.3\n1,0.4,0.4\n")
+        loaded = dataio.load_points(path)
+        assert [layer.tolist() for layer in loaded.layers] == [
+            [[0.2, 0.2]], [[0.1, 0.1], [0.4, 0.4]], [[0.3, 0.3]]
+        ]
+
 
 class TestHeatmap:
     def test_identity_two_color_field(self, tmp_path):
@@ -610,6 +637,24 @@ class TestStreamingReaderErrors:
         with pytest.raises(BundleError, match=exactly(f"{path}:10: {message}")):
             dataio.load_similarity(path, net)
 
+    @pytest.mark.parametrize("dropped", ["A", "B"])
+    def test_load_similarity_refuses_a_type_with_no_rows(self, tmp_path, chunk, dropped):
+        """A type of the network that the file has no row for is refused, as
+        ``read_similarity_block`` refuses it, and not read as I."""
+        net, _, path, lines = self._dump(tmp_path)
+        self._write(path, [line for line in lines if not line.startswith(f"{dropped},")])
+        message = exactly(f"{path}: no rows for type {dropped!r}")
+        with pytest.raises(BundleError, match=message):
+            dataio.load_similarity(path, net)
+        with pytest.raises(BundleError, match=message):
+            dataio.read_similarity_block(path, dropped)
+
+    def test_load_similarity_names_the_first_type_with_no_rows(self, tmp_path, chunk):
+        net, _, path, lines = self._dump(tmp_path)
+        self._write(path, lines[:1])
+        with pytest.raises(BundleError, match=exactly(f"{path}: no rows for type 'A'")):
+            dataio.load_similarity(path, net)
+
     def test_later_rows_win(self, tmp_path, chunk):
         net, state, path, lines = self._dump(tmp_path)
         lines += ["A,a3,a1,0.25", "A,a1,a3,0.75", "A,a2,a2,0.5"]
@@ -834,7 +879,8 @@ ROW_FAULTS = st.sampled_from(
     [b'"', b"\r", b"\n", b",", b"\xff", b"x", b"-", b"nan", b"1e999", b"C", OVER_LONG]
 )
 # Errors of a whole file, which no single line causes.
-WHOLE_FILE = ["empty file", "invalid UTF-8 (", "no points", "no row for "]
+WHOLE_FILE = ["empty file", "invalid UTF-8 (", "no points", "no row for ",
+              "no rows for type "]
 
 
 class TestFaultsNamedWithTheirLine:

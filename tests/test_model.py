@@ -1,5 +1,7 @@
 """Network model, normalization, default weights, and condition checks."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -271,8 +273,11 @@ class TestDefaultWeights:
         assert w.entries == {}
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match=re.escape("negative weight for ('A', 'r')")):
             hetsim.WeightMatrix({("A", "r"): -0.1})
+        for w in (float("nan"), np.float32("nan"), float("inf"), -float("inf")):
+            with pytest.raises(NetworkError, match=re.escape("non-finite weight for ('A', 'r')")):
+                hetsim.WeightMatrix({("B", "s"): 0.5, ("A", "r"): w})
 
 
 class TestConvergenceConditions:

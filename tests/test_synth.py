@@ -21,6 +21,8 @@ from hetsim.synth import (
     random_network,
 )
 
+from conftest import assert_same_network, outcome
+
 
 def brute_force_quality(s, s_hat):
     """Literal triple loop, independent of the vectorized implementation."""
@@ -127,6 +129,76 @@ class TestLayeredPointsGraph:
             LayeredGraphSpec(counts=(5,), radius=0.1)
         with pytest.raises(ValueError):
             LayeredGraphSpec(counts=(5, 5), radius=0.0)
+
+
+def random_network_by_ids(spec):
+    """``random_network`` as it was built from formatted edge ids: the same
+    draws, each endpoint written as an id and looked up by ``build_network``."""
+    rng = np.random.default_rng(spec.seed)
+    sizes = rng.integers(spec.n // 2, spec.n + 1, size=spec.k)
+    sizes = np.maximum(sizes, 1)
+    type_specs = [
+        (f"c{i}", [f"c{i}_{j}" for j in range(sizes[i])]) for i in range(spec.k)
+    ]
+    relation_specs = []
+    for i in range(spec.k):
+        for j in range(i + 1, spec.k):
+            si, sj = int(sizes[i]), int(sizes[j])
+            m = 2 * min(si, sj)
+            if m > si * sj:
+                raise NetworkError(
+                    f"cannot place {m} distinct edges on a {si}x{sj} grid "
+                    f"(classes c{i}, c{j}); increase n"
+                )
+            cells = rng.choice(si * sj, size=m, replace=False)
+            rows, cols = np.divmod(cells, sj)
+            edges = [(f"c{i}_{a}", f"c{j}_{b}") for a, b in zip(rows, cols)]
+            relation_specs.append((f"r_c{i}_c{j}", f"c{i}", f"c{j}", edges))
+    return hetsim.build_network(type_specs, relation_specs)
+
+
+def layered_points_graph_by_ids(spec):
+    """``layered_points_graph`` as it was built from formatted edge ids."""
+    rng = np.random.default_rng(spec.seed)
+    points = PointCloud(tuple(rng.uniform(0.0, 1.0, size=(c, 2)) for c in spec.counts))
+    type_specs = [
+        (f"layer{k}", [f"p{k}_{i}" for i in range(c)])
+        for k, c in enumerate(spec.counts)
+    ]
+    relation_specs = []
+    for k in range(1, len(spec.counts)):
+        dist = _distances(points.layers[k], points.layers[k - 1])
+        ii, jj = np.nonzero(dist < spec.radius)
+        edges = [(f"p{k}_{a}", f"p{k - 1}_{b}") for a, b in zip(ii, jj)]
+        relation_specs.append((f"r{k}", f"layer{k}", f"layer{k - 1}", edges))
+    return hetsim.build_network(type_specs, relation_specs), points
+
+
+class TestBuiltFromIndexArrays:
+    """The generators build each relation from the index arrays they draw;
+    the networks equal those built from formatted edge ids, bit for bit, and
+    a grid too small for its edges is refused with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 29), st.integers(0, 2**32 - 1))
+    def test_random_network(self, k, n, seed):
+        spec = RandomNetworkSpec(k=k, n=n, seed=seed)
+        got, want = outcome(random_network, spec), outcome(random_network_by_ids, spec)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_network(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 14), min_size=2, max_size=4),
+           st.floats(0.01, 0.8), st.integers(0, 2**32 - 1))
+    def test_layered_points_graph(self, counts, radius, seed):
+        spec = LayeredGraphSpec(tuple(counts), radius, seed)
+        (got, got_points), (want, want_points) = (
+            layered_points_graph(spec), layered_points_graph_by_ids(spec))
+        assert_same_network(got, want)
+        for a, b in zip(got_points.layers, want_points.layers, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 # Point clouds in the unit square, 1-60 points, drawn coordinates may repeat.
