@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -56,10 +57,9 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
 
 def _parse_counts(text: str) -> tuple[int, ...]:
     try:
-        counts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"malformed layer counts {text!r}") from None
-    return counts
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -98,8 +98,7 @@ def _svd_config(network: model.HeteroNetwork, args, seed: int) -> lowrank.SvdCon
 
 def cmd_check(args) -> int:
     network, weights = dataio.load_network(args.bundle)
-    if weights is None:
-        weights = model.default_weights(network)
+    weights = weights or model.default_weights(network)
     report = model.check_convergence_conditions(network, weights)
     for t in report.overweight:
         print(f"overweight type: {t} (sum={report.weight_sums[t]:.6g})")
@@ -134,8 +133,7 @@ def _solve(network, weights, args, seed: int, check: bool = True):
 
 def cmd_solve(args) -> int:
     network, weights = dataio.load_network(args.bundle)
-    if weights is None:
-        weights = model.default_weights(network)
+    weights = weights or model.default_weights(network)
     result, trace = _solve(network, weights, args, args.seed, check=not args.force)
     # The writers create --out, so a solve that fails before here leaves none.
     out = Path(args.out)
@@ -181,8 +179,7 @@ def cmd_eval_q(args) -> int:
             raise ConfigError(f"--counts needs at least 2 points per layer, got {args.counts!r}")
         grid = _parse_sweep(args.sweep)
         for ridx, r in enumerate(grid):
-            qs = []
-            unconverged = 0
+            qs, unconverged = [], 0
             for trial in range(args.trials):
                 seq = np.random.SeedSequence(entropy=args.seed, spawn_key=(ridx, trial))
                 seed = int(seq.generate_state(1)[0])
@@ -205,6 +202,11 @@ def cmd_eval_q(args) -> int:
     points_csv = Path(args.bundle) / "points.csv"
     points = dataio.load_points(points_csv)
     state = dataio.load_similarity(args.similarity, network)
+    # Every type layer{k} of the bundle needs its layer k of points.
+    numbered = [int(t.name[5:]) for t in network.types
+                if re.fullmatch("layer(0|[1-9][0-9]*)", t.name)]
+    if beyond := [k for k in numbered if k >= len(points.layers)]:
+        raise dataio.BundleError(f"{points_csv}: no points in layer {min(beyond)}")
     for k, layer in enumerate(points.layers):  # layer k is type layer{k}, an entity per point
         if len(state.blocks.get(f"layer{k}", ())) != len(layer):
             raise dataio.BundleError(f"{points_csv}: layer {k} does not fit the bundle")

@@ -610,11 +610,12 @@ def load_points(path) -> PointCloud:
         return parts
 
     layer, xy = (np.concatenate(c) for c in zip(*_read(p, ["layer", "x", "y"], read)))
-    numbers = np.unique(layer)  # n distinct numbers >= 0: 0 .. n-1, or one of these is missing
+    order = np.argsort(layer, kind="stable")  # by layer, in row order within one
+    numbers, starts = np.unique(layer[order], return_index=True)  # 0 .. n-1, or one is missing
     missing = np.setdiff1d(np.arange(max(len(numbers), 1)), numbers)
     if missing.size:
         raise BundleError(f"{p}: no points in layer {missing[0]}")
-    return PointCloud(tuple(xy[layer == k] for k in numbers))
+    return PointCloud(tuple(np.split(xy[order], starts[1:])))
 
 
 # Two-stop linear color ramp for heatmaps (low -> high).

@@ -30,6 +30,7 @@ from .model import (
     Relation,
     WeightMatrix,
     check_convergence_conditions,
+    check_weight_pairs,
     column_stochastic,
     coupling_operators,
 )
@@ -148,7 +149,9 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
     W the relation's ``coupling_operators`` entry oriented toward t (forward
     when t is the source, reverse otherwise), and per side (w_i, W_i, partner,
     start, stop), with start:stop the side's row block of the buffer that B
-    multiplies.  Both solvers apply their coupling as B times that buffer."""
+    multiplies.  Both solvers apply their coupling as B times that buffer.
+    Refuses a weight for a pair the network lacks (``check_weight_pairs``)."""
+    check_weight_pairs(network, weights)
     ops = coupling_operators(network)
     plan = {}
     for t in network.types:

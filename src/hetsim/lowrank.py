@@ -4,11 +4,11 @@ Each sweep assembles, per type, a matrix-free self-adjoint update operator
 B M C^T less its exact diagonal and projects it back to rank a_t: a
 randomized eigendecomposition, exact (of the operator applied to I) when
 the sketch would fill the block.  Per solve, C^T, the weight-only
-diagonal, each Gaussian sketch and its weight-only image are built once;
-B comes from the dense coupling plan.  From its sixth sweep on, a solve
-Anderson-mixes the sweep inputs from its last few factored images,
-re-truncated to each type's rank, and still stops on a plain image.
-Queries evaluate the factored form directly and never densify a block.
+diagonal and each Gaussian sketch are built once; B comes from the dense
+coupling plan.  From its sixth sweep on, a solve Anderson-mixes the sweep
+inputs from its last few factored images, re-truncated to each type's
+rank, and still stops on a plain image.  Queries evaluate the factored
+form directly and never densify a block.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class SvdConfig:
                         f"one integer of at least {least}")
 
 
-def _weight_only(stacked, stacked_t, x: np.ndarray) -> np.ndarray:
-    """B C^T x for an (n, k) block x: two sparse products."""
-    return stacked @ (stacked_t @ x)
-
-
 class UpdateOperator:
     """Matrix-free self-adjoint per-type update map, less its own diagonal.
 
@@ -121,15 +116,11 @@ class UpdateOperator:
     V G V^T x, with V = [W_1 U_1 | ... | W_m U_m] formed once per operator
     in m sparse products and G = diag(w_i d_i), less the diagonal times x.
     ``spmv_count`` counts every sparse product: m, then two per apply.
-    ``entry`` is the type's ``update_plan`` entry.  For a sketched type its
-    ``image`` is the weight-only part of the sketch, computed once per solve
-    the way an apply computes it, so the operator applied to that sketch
-    needs no sparse product, and an equal copy of the sketch gives the same
-    bits, only slower.
+    ``entry`` is the type's ``update_plan`` entry.
     """
 
     def __init__(self, entry, state: Mapping[str, FactoredSimilarity]):
-        self.stacked, rows, self.stacked_t, self.base_diagonal, _, self.sketch, self.image = entry
+        self.stacked, rows, self.stacked_t, self.base_diagonal = entry[:4]
         self.shape = (self.stacked.shape[0],) * 2
         self.v = np.hstack([oper @ state[p].U for _, oper, p, _, _ in rows])
         self.vg = self.v * np.concatenate([w * state[p].d for w, _, p, _, _ in rows])
@@ -140,12 +131,9 @@ class UpdateOperator:
         """Apply to a vector or an (n, k) block."""
         block = x.reshape(self.shape[0], -1)
         out = self.vg @ (self.v.T @ block)
-        if x is self.sketch:
-            out += self.image
-        else:
-            self.spmv_count += 2
-            out += _weight_only(self.stacked, self.stacked_t, block)
+        out += self.stacked @ (self.stacked_t @ block)
         out -= self.shift[:, None] * block
+        self.spmv_count += 2
         return out.reshape(x.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -307,12 +295,12 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     """The low-rank solver's one per-solve table, built from
     ``dense.coupling_plan``'s result ``plan`` and keyed in
     ``dense.update_order``.  Each type with a weighted relation side gets
-    ``(B, rows, C^T, diagonal, rank, sketch, image)``: B and rows from
-    ``plan``, C^T = [W_1 | ... | W_m]^T as CSR, the weight-only diagonal sum
+    ``(B, rows, C^T, diagonal, rank, sketch)``: B and rows from ``plan``,
+    C^T = [W_1 | ... | W_m]^T as CSR, the weight-only diagonal sum
     w * rownorm^2(W) (the diagonal of B C^T), the rank clamped to the block,
-    the Gaussian sketch Omega of rank + oversample columns (``_rng_for`` the
-    type's ``update_order`` position) and its weight-only image B C^T Omega,
-    or None and None (exact decomposition) when they would fill the block."""
+    and the Gaussian sketch of rank + oversample columns (``_rng_for`` the
+    type's ``update_order`` position), or None (exact decomposition) when it
+    would fill the block."""
     table = {}
     for position, t in enumerate(update_order(network)):
         stacked, rows = plan[t.name]
@@ -321,13 +309,10 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
         c = sp.hstack([oper for _, oper, *_ in rows], format="csr")
         rank = min(int(svd.rank), t.size)
         width = min(rank + svd.oversample, t.size)
-        sketch = None
-        if width < t.size:
-            sketch = _rng_for(svd.seed, position).standard_normal((t.size, width))
+        sketch = (_rng_for(svd.seed, position).standard_normal((t.size, width))
+                  if width < t.size else None)
         diagonal = np.asarray(stacked.multiply(c).sum(axis=1)).ravel()
-        c_t = c.T.tocsr()
-        image = None if sketch is None else _weight_only(stacked, c_t, sketch)
-        table[t.name] = (stacked, rows, c_t, diagonal, rank, sketch, image)
+        table[t.name] = (stacked, rows, c.T.tocsr(), diagonal, rank, sketch)
     return table
 
 
@@ -350,9 +335,7 @@ def sweep_lowrank(
     for t in update_order(network):
         if t.name in table:
             entry = table[t.name]
-            rank, sketch = entry[4:6]
-            op = build_update_operator(new, entry)
-            u, d = randomized_eig(op, rank, sketch, power)
+            u, d = randomized_eig(build_update_operator(new, entry), *entry[4:], power)
             new[t.name] = FactoredSimilarity(u, d)
         else:
             new[t.name] = FactoredSimilarity.identity(t.size)

@@ -248,6 +248,14 @@ def coupling_operators(
     }
 
 
+def check_weight_pairs(network: HeteroNetwork, weights: WeightMatrix) -> None:
+    """Refuse, naming the first in sorted order, a weight entry whose type is
+    not an end of its relation (an unknown type or relation included)."""
+    ends = {(t.name, r.name) for r in network.relations for t in (r.src, r.dst)}
+    if bad := sorted(weights.entries.keys() - ends):
+        raise NetworkError(f"weight for type {bad[0][0]!r}: {bad[0][1]!r} is not its relation")
+
+
 def check_convergence_conditions(network: HeteroNetwork, weights: WeightMatrix) -> ConditionReport:
     """Check the sufficient conditions for fixed-point convergence.
 
@@ -257,7 +265,9 @@ def check_convergence_conditions(network: HeteroNetwork, weights: WeightMatrix) 
     (``column_stochastic``), so it is read off the edges, not the operators:
     ||W||_1 is 1 for a relation with edges and 0 for an empty one, and the
     bound is the sum of w over the incident relations that have edges.
+    Refuses a weight for a pair the network lacks (``check_weight_pairs``).
     """
+    check_weight_pairs(network, weights)
     sums = {t.name: weights.type_sum(network, t.name) for t in network.types}
     over = tuple(name for name, s in sums.items() if s > 1.0 + STOCHASTIC_TOL)
     bounds = {

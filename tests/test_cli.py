@@ -548,15 +548,17 @@ class TestEvalQ:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(line for line in lines if not line.startswith(prefix)))
 
-    def test_points_missing_a_layer_are_io_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_points_missing_a_layer_are_io_error(self, tmp_path, capsys, layer):
         """points.csv is read by layer number: with layer 1's rows gone, layer
-        2's points are not scored as layer 1's; points.csv is named, exit 4."""
+        2's points are not scored as layer 1's, and with the last layer's rows
+        gone, type layer2 is not left unscored; points.csv is named, exit 4."""
         bundle, similarity = self._solved_layered(tmp_path, capsys, "5,5,5", "1")
-        self._drop_lines(bundle / "points.csv", "1,")
+        self._drop_lines(bundle / "points.csv", f"{layer},")
         code, stdout, stderr = run(["eval-q", "--bundle", str(bundle), "--similarity",
                                     str(similarity)], capsys)
         assert code == EXIT_IO
-        assert f"{bundle / 'points.csv'}: no points in layer 1" in stderr
+        assert f"{bundle / 'points.csv'}: no points in layer {layer}" in stderr
         assert not [line for line in stdout.splitlines() if line.startswith("Q")]
 
     def test_similarity_missing_a_type_is_io_error(self, tmp_path, capsys):

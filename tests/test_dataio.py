@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -214,7 +215,7 @@ class TestPointsRoundTrip:
 
     @pytest.mark.parametrize("layers, missing", [
         ([1, 2], 0), ([0, 2], 1), ([2, 0, 3, 1, 5], 4), ([0, 0, 7, 0], 1),
-        ([0, 2**62], 1), ([], 0),
+        ([0, 2**62], 1), ([], 0), ([10**12], 0),
     ])
     def test_layer_with_no_points_refused(self, tmp_path, layers, missing):
         """Layers are read by number: a number below the largest with no
@@ -231,6 +232,20 @@ class TestPointsRoundTrip:
         assert [layer.tolist() for layer in loaded.layers] == [
             [[0.2, 0.2]], [[0.1, 0.1], [0.4, 0.4]], [[0.3, 0.3]]
         ]
+
+    def test_many_layers_split_in_one_pass(self, tmp_path):
+        """60 000 one-row layers in shuffled rows read in well under 5 s: one
+        sort by layer number and one split, where a mask per layer took about
+        13 s at this size on a 2-core machine."""
+        n = 60_000
+        path = tmp_path / "points.csv"
+        path.write_text("layer,x,y\n" + "".join(
+            f"{k},{k / n},0.25\n" for k in np.random.default_rng(0).permutation(n)))
+        start = time.perf_counter()
+        loaded = dataio.load_points(path)
+        assert time.perf_counter() - start < 5.0
+        assert np.array_equal(np.vstack(loaded.layers)[:, 0], np.arange(n) / n)
+        assert all(layer.shape == (1, 2) for layer in loaded.layers)
 
 
 class TestHeatmap:

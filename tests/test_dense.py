@@ -544,6 +544,18 @@ every_solver = pytest.mark.parametrize(
 
 
 @every_solver
+@pytest.mark.parametrize("check", [True, False])
+def test_weight_for_a_pair_the_network_lacks_refused(solve, check):
+    """Such a weight is refused, not read as weight 0 for the real pairs, also
+    when the convergence conditions are not checked."""
+    net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=10, seed=0))
+    weights = hetsim.WeightMatrix({("c0", "r_c0_c9"): 0.5, ("cX", "r_c0_c1"): 0.5})
+    with pytest.raises(hetsim.NetworkError,
+                       match="^weight for type 'c0': 'r_c0_c9' is not its relation$"):
+        solve(net, weights, check=check)
+
+
+@every_solver
 def test_each_operator_normalized_once_per_solve(solve, monkeypatch):
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=12, seed=1))
     calls = []

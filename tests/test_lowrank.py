@@ -141,7 +141,7 @@ class TestUpdateOperator:
             np.testing.assert_allclose(op.apply(np.eye(t.size)), off, rtol=0, atol=1e-12)
             np.testing.assert_allclose(op.diagonal(), np.diag(expected), rtol=0, atol=1e-12)
 
-    def test_sparse_products_two_per_apply_none_on_the_sketch(self):
+    def test_sparse_products_two_per_apply_the_sketch_included(self):
         net, _, state, table = self._random_setup(2)
         t = net.types[0]
         entry = table[t.name]
@@ -153,16 +153,15 @@ class TestUpdateOperator:
         assert op.spmv_count == m + 2
         op.apply(np.zeros((t.size, 3)))
         assert op.spmv_count == m + 4
-        # The sketch's weight-only image is the plan's: no sparse product.
+        # The plan's sketch costs what any other block costs.
         op.apply(entry[5])
-        assert op.spmv_count == m + 4
-        op.apply(entry[5].copy())
         assert op.spmv_count == m + 6
+        op.apply(entry[5].copy())
+        assert op.spmv_count == m + 8
 
-    def test_the_plan_image_gives_the_bits_a_copy_gives(self):
-        """The per-solve image is a memo: applying the operator to the plan's
-        own sketch gives the bits that an equal copy of the sketch gives.  An
-        exact-width type has no sketch, so its plan entry holds no image."""
+    def test_the_plan_sketch_gives_the_bits_a_copy_gives(self):
+        """Applying the operator to the plan's own sketch gives the bits that
+        an equal copy of the sketch gives.  An exact-width type has no sketch."""
         net, _, state, table = self._random_setup(3)
         svd = hetsim.SvdConfig(rank=max(t.size for t in net.types))
         exact = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), svd)
@@ -174,7 +173,7 @@ class TestUpdateOperator:
                 first = randomized_eig(op, rank, sketch)
                 again = randomized_eig(build_update_operator(state, table[t.name]), rank, sketch.copy())
                 assert all(np.array_equal(a, b) for a, b in zip(first, again))
-            assert exact[t.name][5] is None and exact[t.name][6] is None
+            assert exact[t.name][5] is None
 
 
 @st.composite
@@ -279,8 +278,8 @@ def test_narrow_eig_runs_the_range_finder_on_its_sketch():
     """Below full width, down to n - 1, every apply of the range finder
     happens, on the sketch passed in, which sets the width alone: the first
     product, ``power`` passes on a Cholesky-normalized basis, and Householder
-    QR for the final basis.  On the plan's own sketch the first product is
-    the plan's image, so it costs no sparse product."""
+    QR for the final basis, each apply two sparse products, the plan's own
+    sketch included."""
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=30, seed=5))
     table = update_plan(net, coupling_plan(net, hetsim.default_weights(net)), hetsim.SvdConfig(rank=1))
     state = {t.name: FactoredSimilarity.identity(t.size) for t in net.types}
@@ -293,7 +292,7 @@ def test_narrow_eig_runs_the_range_finder_on_its_sketch():
             rank = 1 + sketch.shape[1] // 2
             op = build_update_operator(state, entry)
             u, d = randomized_eig(op, rank, sketch, power)
-            assert op.spmv_count == len(entry[1]) + 2 * (power + (1 if sketch is entry[5] else 2))
+            assert op.spmv_count == len(entry[1]) + 2 * (power + 2)
             q, lam, v = range_finder_oracle(op, sketch.copy(), power, power_basis_oracle)
             keep = np.argsort(-np.abs(lam), kind="stable")[:rank]
             assert np.array_equal(u, q @ v[:, keep]) and np.array_equal(d, lam[keep])

@@ -307,6 +307,21 @@ class TestConvergenceConditions:
         for bound in report.lyapunov_bounds.values():
             assert bound <= 1 + 1e-12
 
+    @pytest.mark.parametrize("entries, named", [
+        ({("c0", "r_c0_c9"): 0.5, ("cX", "r_c0_c1"): 0.5}, ("c0", "r_c0_c9")),
+        ({("cX", "r_c0_c1"): 0.5}, ("cX", "r_c0_c1")),
+        ({("c2", "r_c0_c1"): 0.0, ("c1", "r_c0_c1"): 0.5}, ("c2", "r_c0_c1")),
+        ({("c1", "r_c1_c2"): 0.5, ("c1", "r_c1_c0"): 0.5, ("c0", "r_c0_c1"): 1.0},
+         ("c1", "r_c1_c0")),
+    ])
+    def test_weight_for_a_pair_the_network_lacks_refused(self, entries, named):
+        """An unknown type or relation, or a type that is not an end of the
+        relation, is refused at any weight; the first in sorted order is named."""
+        net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=10, seed=0))
+        with pytest.raises(NetworkError, match=re.escape(
+                f"weight for type {named[0]!r}: {named[1]!r} is not its relation") + "$"):
+            hetsim.check_convergence_conditions(net, hetsim.WeightMatrix(entries))
+
     def test_isolated_node_columns_not_flagged(self):
         net = hetsim.build_network(
             [("A", ["a1"]), ("B", ["b1", "b2"])],
