@@ -10,7 +10,6 @@ from .dense import (
     SimilaritySet,
     SolverConfig,
     SolveTrace,
-    classical_simrank,
     residual,
     solve_dense,
     solve_lyapunov,
@@ -21,7 +20,6 @@ from .lowrank import (
     SvdConfig,
     factored_residual,
     randomized_eig,
-    similarity_query,
     solve_lowrank,
     sweep_lowrank,
     top_k,

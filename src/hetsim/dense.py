@@ -27,11 +27,9 @@ import scipy.sparse as sp
 
 from .model import (
     HeteroNetwork,
-    Relation,
     WeightMatrix,
     check_convergence_conditions,
     check_weight_pairs,
-    column_stochastic,
     coupling_operators,
 )
 
@@ -51,8 +49,8 @@ class ConditionError(ValueError):
 
 def check_field(name: str, value, kind: type, floor, want: str) -> None:
     """The field rule of ``SolverConfig`` and ``lowrank.SvdConfig``: ``value``
-    is a ``kind`` number above ``floor``, never a bool, or ValueError says so."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not value > floor:
+    is a finite ``kind`` number above ``floor``, never a bool, or ValueError says so."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not floor < value < np.inf:
         raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
@@ -64,7 +62,7 @@ class SolverConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        check_field("tol", self.tol, numbers.Real, 0, "positive")
+        check_field("tol", self.tol, numbers.Real, 0, "positive and finite")
         check_field("max_iter", self.max_iter, numbers.Integral, 0, "one integer of at least 1")
 
 
@@ -310,22 +308,3 @@ def solve_lyapunov(
         raise ValueError("damping must lie in (0, 1)")
     return _solve_coupled(network, weights, config or SolverConfig(), check, damping)
 
-
-def classical_simrank(relation: Relation, decay: float, iters: int) -> np.ndarray:
-    """SimRank on a homogeneous graph: two nodes are similar when the nodes
-    pointing at them are pairwise similar.
-
-    Iterates S <- decay * P^T S P, then resets the diagonal to 1, where P is
-    the column-stochastic in-neighbor operator of the (single-type) relation.
-    """
-    if relation.src.name != relation.dst.name:
-        raise ValueError("classical SimRank needs a relation on a single type")
-    if not 0.0 < decay < 1.0:
-        raise ValueError("decay must lie in (0, 1)")
-    n = relation.src.size
-    p = column_stochastic(relation, "forward")
-    s = np.eye(n)
-    for _ in range(iters):
-        s = decay * (p.T @ (p.T @ s).T).T  # decay * P^T S P
-        np.fill_diagonal(s, 1.0)
-    return s

@@ -56,15 +56,6 @@ class FactoredSimilarity:
         return float(np.abs((self.U * self.d) * self.U).sum(axis=1).max(initial=0.0))
 
 
-def similarity_query(state: FactoredSimilarity, a: int, b: int) -> float:
-    """Exact evaluation of the factored form: delta_ab + U[a] D U[b]^T."""
-    n = state.n
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexError(f"entity index out of range for block of size {n}")
-    val = 1.0 if a == b else 0.0
-    return val + float((state.U[a] * state.d) @ state.U[b])
-
-
 def top_k(state: FactoredSimilarity, a: int, k: int) -> list[tuple[int, float]]:
     """k most similar entities to a (excluding a), ties broken by index."""
     n = state.n

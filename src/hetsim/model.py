@@ -75,12 +75,6 @@ class Relation:
     def n_edges(self) -> int:
         return int(self.src_idx.size)
 
-    def edge_ids(self) -> list[tuple[str, str]]:
-        return [
-            (self.src.ids[i], self.dst.ids[j])
-            for i, j in zip(self.src_idx, self.dst_idx)
-        ]
-
 
 @dataclass(frozen=True)
 class HeteroNetwork:
@@ -118,10 +112,6 @@ class HeteroNetwork:
         name, so no sum over a type's sides depends on listing order."""
         return sorted([r for r in self.relations if type_name in (r.src.name, r.dst.name)],
                       key=attrgetter("name"))
-
-    @property
-    def n_entities(self) -> int:
-        return sum(t.size for t in self.types)
 
 
 def build_network(

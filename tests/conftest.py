@@ -32,6 +32,12 @@ def single_type_graph(adjacency, name="T"):
     return hetsim.build_network([(name, ids)], [("e", name, name, edges)])
 
 
+def edge_ids(relation):
+    """A relation's edges as (src id, dst id) pairs, in stored order."""
+    return [(relation.src.ids[i], relation.dst.ids[j])
+            for i, j in zip(relation.src_idx, relation.dst_idx)]
+
+
 def build_network_loop(type_specs, relation_specs):
     """The per-edge ``build_network`` that the whole-array one replaced, kept
     as its oracle."""

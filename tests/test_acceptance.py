@@ -127,7 +127,7 @@ def test_04_full_rank_lowrank_matches_dense():
     worst = 0.0
     for seed in range(50):
         net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=40, seed=seed))
-        assert net.n_entities <= 200
+        assert sum(t.size for t in net.types) <= 200
         weights = hetsim.default_weights(net)
         cfg = hetsim.SolverConfig(tol=1e-10, max_iter=300)
         dense_state, _ = hetsim.solve_dense(net, weights, cfg)

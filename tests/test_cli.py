@@ -228,6 +228,19 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("1e400", "inf"), ("nan", "nan")])
+    def test_non_finite_tol_is_config_error(self, tmp_path, capsys, tol, shown):
+        # --tol 1e400 parses to inf, which once stopped the solve one sweep
+        # from I and reported it converged.
+        write_toy_bundle(tmp_path / "toy")
+        out = tmp_path / "o"
+        code, stdout, stderr = run(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out),
+                                    "--tol", tol], capsys)
+        assert code == EXIT_CONFIG
+        assert stderr == f"error: tol must be positive and finite, got {shown}\n"
+        assert "converged" not in stdout
+        assert not out.exists()
+
     def test_failed_precheck_leaves_no_out(self, tmp_path, capsys):
         net = write_toy_bundle(tmp_path / "toy")
         weights = hetsim.WeightMatrix({("A", "r"): 1.5, ("B", "r"): 1.0})
@@ -1280,15 +1293,16 @@ FUZZ_MUTATIONS = ["truncate", "delete line", "repeat line", "reverse line", "ins
 # Edge values of the flags each command takes; argparse keeps the last one given.
 FUZZ_FLAGS = {
     "query": [("--k", "0")],
-    "solve": [("--ranks", "0"), ("--tol", "nan"), ("--max-iter", "0"), ("--seed", "-1"),
-              ("--oversample", "-1")],
+    "solve": [("--ranks", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0"),
+              ("--seed", "-1"), ("--oversample", "-1")],
 }
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A K=3, N=6 bundle, its similarity CSV and a rank-2 factor set, and the
-    paths of their files relative to the directory holding all three."""
+    """A K=3, N=6 bundle, its similarity CSV and a rank-2 factor set, a
+    three-layer bundle with its points.csv and its similarity CSV, and the
+    paths of their files relative to the directory holding them all."""
     root = tmp_path_factory.mktemp("fuzz")
     net = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=6, seed=3))
     weights = hetsim.default_weights(net)
@@ -1297,6 +1311,11 @@ def fuzz_inputs(tmp_path_factory):
     dataio.save_similarity(state, net, root / "similarity.csv")
     factors, trace = hetsim.solve_lowrank(net, weights, svd=hetsim.SvdConfig(rank=2))
     dataio.save_factors(factors, net, root / "factors", 0, trace.iterations)
+    net, points = hetsim.layered_points_graph(hetsim.LayeredGraphSpec((4, 4, 3), 0.5, seed=1))
+    dataio.save_network(net, root / "layered")
+    dataio.save_points(points, root / "layered" / "points.csv")
+    state, _ = hetsim.solve_dense(net, hetsim.default_weights(net))
+    dataio.save_similarity(state, net, root / "layered.csv")
     return root, sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
 
@@ -1331,6 +1350,9 @@ def _fuzz_argv(root, command, data):
     bundle, sim, factors = root / "bundle", root / "similarity.csv", root / "factors"
     if command == "check":
         return ["check", "--bundle", str(bundle)]
+    if command == "eval-q":
+        sim = data.draw(st.sampled_from([root / "layered.csv", sim]))
+        return ["eval-q", "--bundle", str(root / "layered"), "--similarity", str(sim)]
     if command == "solve":
         solver = data.draw(st.sampled_from(["dense", "lowrank", "lyapunov"]))
         return ["solve", "--bundle", str(bundle), "--out", str(root / "out"), "--solver",
@@ -1353,7 +1375,7 @@ def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
         st.sampled_from(files), st.sampled_from(FUZZ_MUTATIONS),
         st.integers(0, 10**4), st.sampled_from(FUZZ_INSERTS),
     ), max_size=3))
-    command = data.draw(st.sampled_from(["check", "solve", "query", "heatmap"]))
+    command = data.draw(st.sampled_from(["check", "solve", "query", "heatmap", "eval-q"]))
     flag = data.draw(st.sampled_from([(), *FUZZ_FLAGS.get(command, [])]))
     with tempfile.TemporaryDirectory(dir=pristine.parent) as tmp:
         root = Path(tmp) / "in"

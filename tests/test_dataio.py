@@ -20,7 +20,7 @@ from hetsim.dataio import BundleError
 from hetsim.lowrank import FactoredSimilarity
 from hetsim.synth import PointCloud
 
-from conftest import assert_same_network, build_network_loop, outcome
+from conftest import assert_same_network, build_network_loop, edge_ids, outcome
 
 
 class TestNetworkRoundTrip:
@@ -30,7 +30,7 @@ class TestNetworkRoundTrip:
         assert weights is None
         assert [t.name for t in loaded.types] == ["A", "B"]
         assert loaded.type("A").ids == ("a1", "a2")
-        assert loaded.relation("r").edge_ids() == [("a1", "b1"), ("a2", "b1")]
+        assert edge_ids(loaded.relation("r")) == [("a1", "b1"), ("a2", "b1")]
 
     def test_weights_round_trip(self, toy_network, toy_weights, tmp_path):
         dataio.save_network(toy_network, tmp_path, weights=toy_weights)
@@ -44,7 +44,7 @@ class TestNetworkRoundTrip:
         loaded, _ = dataio.load_network(tmp_path)
         assert [t.ids for t in loaded.types] == [t.ids for t in net.types]
         for ra, rb in zip(loaded.relations, net.relations):
-            assert ra.edge_ids() == rb.edge_ids()
+            assert edge_ids(ra) == edge_ids(rb)
 
     def test_missing_schema_reported(self, tmp_path):
         with pytest.raises(BundleError, match="missing file"):
@@ -557,8 +557,8 @@ class TestRoundTripProperties:
         dataio.save_network(net, out, weights=weights)
         loaded, loaded_weights = dataio.load_network(out)
         assert [(t.name, t.ids) for t in loaded.types] == [(t.name, t.ids) for t in net.types]
-        assert [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in loaded.relations] == [
-            (r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations
+        assert [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in loaded.relations] == [
+            (r.name, r.src.name, r.dst.name, edge_ids(r)) for r in net.relations
         ]
         if weighted:
             assert loaded_weights.entries == weights.entries

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import hetsim
 from hetsim import dense, model
-from hetsim.dense import ConditionError, classical_simrank, coupling_plan, residual, sweep
+from hetsim.dense import ConditionError, coupling_plan, residual, sweep
 
-from conftest import networks_relations_weights, single_type_graph
+from conftest import edge_ids, networks_relations_weights, single_type_graph
 
 
 class TestSweep:
@@ -170,7 +170,7 @@ def test_bare_sweep_moves_every_block_relax_times_its_correction(damping):
     base = hetsim.random_network(hetsim.RandomNetworkSpec(k=4, n=20, seed=3))
     net = hetsim.build_network(
         [(t.name, t.ids) for t in reversed(base.types)],
-        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in base.relations],
+        [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in base.relations],
     )
     plan = coupling_plan(net, hetsim.default_weights(net))
     state, _ = sweep(net, hetsim.SimilaritySet.identity(net), plan, damping)
@@ -273,7 +273,7 @@ def networks_and_reorderings(draw):
     relations = draw(st.permutations(net.relations))
     reordered = hetsim.build_network(
         [(t.name, t.ids) for t in types],
-        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in relations],
+        [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in relations],
     )
     return net, reordered
 
@@ -313,7 +313,7 @@ def networks_and_type_reorderings(draw):
     types = draw(st.permutations(net.types))
     reordered = hetsim.build_network(
         [(t.name, t.ids) for t in types],
-        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations],
+        [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in net.relations],
     )
     return net, reordered
 
@@ -375,7 +375,7 @@ def networks_and_full_reorderings(draw):
     relations = draw(st.permutations(net.relations))
     reordered = hetsim.build_network(
         [(t.name, t.ids) for t in types],
-        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in relations],
+        [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in relations],
     )
     return net, reordered
 
@@ -511,7 +511,7 @@ def networks_and_row_permutations(draw):
     permuted = hetsim.build_network(
         [(t.name, [t.ids[i] for i in perm] if i == which else t.ids)
          for i, t in enumerate(net.types)],
-        [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in net.relations],
+        [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in net.relations],
     )
     return net, which, perm, permuted
 
@@ -712,58 +712,6 @@ class TestSolveLyapunov:
             ratios = r[1:] / r[:-1]
             assert (ratios <= 0.8 + 1e-9).all()
 
-class TestClassicalSimrank:
-    def test_matches_independent_dense_recurrence(self):
-        rng = np.random.default_rng(23)
-        a = (rng.random((8, 8)) < 0.3).astype(float)
-        np.fill_diagonal(a, 0.0)
-        net = single_type_graph(a)
-        got = classical_simrank(net.relation("e"), 0.8, 20)
-        w = a / np.maximum(a.sum(axis=0), 1)
-        s = np.eye(8)
-        for _ in range(20):
-            s = 0.8 * (w.T @ s @ w)
-            np.fill_diagonal(s, 1.0)
-        np.testing.assert_allclose(got, s, atol=1e-12)
-
-    def test_shared_parent_pair(self):
-        # Edges 3 -> 1 and 3 -> 2: the in-neighborhoods of 1 and 2 are both
-        # {3}, so s(1, 2) = decay after one iteration and stays there.
-        a = np.zeros((3, 3))
-        a[2, 0] = a[2, 1] = 1.0
-        net = single_type_graph(a)
-        s = classical_simrank(net.relation("e"), 0.8, 1)
-        assert s[0, 1] == pytest.approx(0.8)
-        s5 = classical_simrank(net.relation("e"), 0.8, 5)
-        assert s5[0, 1] == pytest.approx(0.8)
-
-    def test_two_cycle_scores_zero(self):
-        a = np.zeros((2, 2))
-        a[0, 1] = a[1, 0] = 1.0
-        net = single_type_graph(a)
-        s = classical_simrank(net.relation("e"), 0.8, 30)
-        assert s[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_diagonal_is_one(self):
-        rng = np.random.default_rng(5)
-        a = (rng.random((6, 6)) < 0.4).astype(float)
-        np.fill_diagonal(a, 0.0)
-        net = single_type_graph(a)
-        s = classical_simrank(net.relation("e"), 0.6, 10)
-        np.testing.assert_array_equal(np.diag(s), 1.0)
-
-    def test_cross_type_relation_rejected(self, toy_network):
-        with pytest.raises(ValueError):
-            classical_simrank(toy_network.relation("r"), 0.8, 5)
-
-    def test_decay_out_of_range_rejected(self):
-        a = np.zeros((2, 2))
-        a[0, 1] = 1.0
-        net = single_type_graph(a)
-        with pytest.raises(ValueError):
-            classical_simrank(net.relation("e"), 1.5, 5)
-
-
 class TestResidual:
     def test_identical_states_give_zero(self, toy_network):
         s = hetsim.SimilaritySet.identity(toy_network)
@@ -802,12 +750,13 @@ class TestSolverConfig:
         ("max_iter", 2.5), ("max_iter", 3.0), ("max_iter", True), ("max_iter", False),
         ("max_iter", 0), ("max_iter", -1), ("max_iter", "5"), ("max_iter", None),
         ("tol", "1e-9"), ("tol", True), ("tol", 0.0), ("tol", -1e-9), ("tol", float("nan")),
-        ("tol", None),
+        ("tol", float("inf")), ("tol", np.float32("inf")), ("tol", None),
     ])
     def test_fields_refused(self, name, value):
         # max_iter 2.5 used to fail inside iterate, max_iter True ran one
-        # sweep, and tol "1e-9" raised a bare TypeError.
-        want = "positive" if name == "tol" else "one integer of at least 1"
+        # sweep, tol "1e-9" raised a bare TypeError, and tol inf stopped
+        # after one sweep.
+        want = "positive and finite" if name == "tol" else "one integer of at least 1"
         with pytest.raises(ValueError, match=f"^{name} must be {want}, got "):
             hetsim.SolverConfig(**{name: value})
 

@@ -14,14 +14,13 @@ from hetsim.lowrank import (
     build_update_operator,
     factored_residual,
     randomized_eig,
-    similarity_query,
     sweep_lowrank,
     top_k,
     update_plan,
 )
 from hetsim.model import coupling_operators
 
-from conftest import networks_relations_weights
+from conftest import edge_ids, networks_relations_weights
 
 
 def planted_symmetric(n, eigenvalues, seed):
@@ -357,7 +356,7 @@ class TestSweepLowrank:
         base = hetsim.random_network(hetsim.RandomNetworkSpec(k=3, n=20, seed=4))
         net = hetsim.build_network(  # listed in the reverse of name order
             [(t.name, t.ids) for t in reversed(base.types)],
-            [(r.name, r.src.name, r.dst.name, r.edge_ids()) for r in reversed(base.relations)],
+            [(r.name, r.src.name, r.dst.name, edge_ids(r)) for r in reversed(base.relations)],
         )
         weights = hetsim.default_weights(net)
         svd = hetsim.SvdConfig(rank=5, seed=7)
@@ -776,23 +775,13 @@ class TestQueries:
         u, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         return FactoredSimilarity(u, np.array([0.8, -0.3]))
 
-    def test_query_matches_dense_entry(self):
-        f = self._state()
-        dense = f.dense()
-        for a in range(6):
-            for b in range(6):
-                assert similarity_query(f, a, b) == pytest.approx(
-                    dense[a, b], abs=1e-12
-                )
-
     def test_self_query_not_forced_to_one(self):
         f = self._state()
-        assert similarity_query(f, 0, 0) != pytest.approx(1.0, abs=1e-6)
+        assert f.dense()[0, 0] != pytest.approx(1.0, abs=1e-6)
 
     def test_identity_state_queries(self):
         f = FactoredSimilarity.identity(4)
-        assert similarity_query(f, 1, 1) == 1.0
-        assert similarity_query(f, 1, 2) == 0.0
+        np.testing.assert_array_equal(f.dense(), np.eye(4))
         results = top_k(f, 0, 3)
         assert results == [(1, 0.0), (2, 0.0), (3, 0.0)]
 
@@ -811,7 +800,7 @@ class TestQueries:
     def test_index_and_k_validation(self):
         f = self._state()
         with pytest.raises(IndexError):
-            similarity_query(f, 0, 6)
+            top_k(f, 6, 2)
         with pytest.raises(IndexError):
             top_k(f, -1, 2)
         with pytest.raises(ValueError):
