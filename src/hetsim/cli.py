@@ -51,7 +51,9 @@ def _seed(flag: int | None) -> int:
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
-    shown = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    """One strict-JSON line; a non-finite float shows as "nan", "inf" or "-inf"."""
+    shown = {k: str(v) if isinstance(v, float) and not np.isfinite(v) else v
+             for k, v in sorted(vars(args).items()) if k != "func"}
     print(f"config: {json.dumps({'command': command, **shown}, default=str)}")
 
 
@@ -274,72 +276,90 @@ def _add_solver_options(p: argparse.ArgumentParser, solvers: list[str]) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hetsim",
-        description="Per-type similarity over heterogeneous networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run convergence-condition checks on a bundle")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="solve a bundle and write similarity + trace")
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
     _add_solver_options(p, ["dense", "lowrank", "lyapunov"])
     p.add_argument("--c", type=float, default=0.8, help="damping for the lyapunov solver")
     p.add_argument("--force", action="store_true",
                    help="skip the convergence-condition precheck")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("synth", help="generate a synthetic bundle")
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     mode = p.add_subparsers(dest="mode", required=True)
     pr = mode.add_parser("random", help="fully-connected typed network")
     pr.add_argument("--K", type=int, required=True)
     pr.add_argument("--N", type=int, required=True)
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_synth, mode="random")
     pl = mode.add_parser("layered", help="layered geometric graph with points")
     pl.add_argument("--counts", required=True, help="comma-separated points per layer")
     pl.add_argument("--r", type=float, required=True)
     pl.add_argument("--seed", type=int, default=None)
     pl.add_argument("--out", required=True)
-    pl.set_defaults(func=cmd_synth, mode="layered")
 
-    p = sub.add_parser("eval-q", help="ordering-quality evaluation")
+
+def _eval_q_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle")
     p.add_argument("--similarity")
     p.add_argument("--sweep", help="radius sweep r0:r1:step over fresh layered graphs")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--counts", default="40,40,40")
     _add_solver_options(p, ["dense", "lowrank"])
-    p.set_defaults(func=cmd_eval_q)
 
-    p = sub.add_parser("query", help="top-k most similar entities")
+
+def _query_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factors")
     p.add_argument("--similarity")
     p.add_argument("--bundle")
     p.add_argument("--type", required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--k", type=int, default=6)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("heatmap", help="similarity block as an SVG heatmap")
+
+def _heatmap_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--similarity")
     p.add_argument("--factors")
     p.add_argument("--type", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_heatmap)
 
+
+# Per command: name, help, argument adder and handler, in the order --help lists them.
+COMMANDS = (
+    ("check", "run convergence-condition checks on a bundle", _check_arguments, cmd_check),
+    ("solve", "solve a bundle and write similarity + trace", _solve_arguments, cmd_solve),
+    ("synth", "generate a synthetic bundle", _synth_arguments, cmd_synth),
+    ("eval-q", "ordering-quality evaluation", _eval_q_arguments, cmd_eval_q),
+    ("query", "top-k most similar entities", _query_arguments, cmd_query),
+    ("heatmap", "similarity block as an SVG heatmap", _heatmap_arguments, cmd_heatmap),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one:
+    for an argv that starts with that name, both give the same output."""
+    parser = argparse.ArgumentParser(
+        prog="hetsim", description="Per-type similarity over heterogeneous networks.")
+    names = [name for name, *_ in COMMANDS]
+    one = command in names
+    # A lone command's usage line still lists them all, as argparse would.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(names) if one else None)
+    for name, text, add_arguments, handler in COMMANDS:
+        if not one or name == command:
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if hasattr(args, "seed"):
             args.seed = _seed(args.seed)

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     HeteroNetwork,
@@ -149,6 +148,7 @@ def coupling_plan(network: HeteroNetwork, weights: WeightMatrix) -> dict:
     start, stop), with start:stop the side's row block of the buffer that B
     multiplies.  Both solvers apply their coupling as B times that buffer.
     Refuses a weight for a pair the network lacks (``check_weight_pairs``)."""
+    import scipy.sparse as sp
     check_weight_pairs(network, weights)
     ops = coupling_operators(network)
     plan = {}

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense import (DivergenceError, SolveTrace, SolverConfig, check_field, checked_plan,
                     iterate, update_order)
@@ -292,6 +291,7 @@ def update_plan(network: HeteroNetwork, plan: dict, svd: SvdConfig) -> dict:
     and the Gaussian sketch of rank + oversample columns (``_rng_for`` the
     type's ``update_order`` position), or None (exact decomposition) when it
     would fill the block."""
+    import scipy.sparse as sp
     table = {}
     for position, t in enumerate(update_order(network)):
         stacked, rows = plan[t.name]

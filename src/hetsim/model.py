@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # imported where operators are built, so readers never load scipy
+    import scipy.sparse as sp
 
 # A type's incident weights may sum above 1 by this much before the
 # condition check flags it.
@@ -159,6 +161,7 @@ def column_stochastic(relation: Relation, direction: str) -> sp.csr_matrix:
     sparsity pattern equals the relation's edge pattern, and columns with no
     edges stay all-zero (isolated entities); rows hold sorted column indices.
     """
+    import scipy.sparse as sp
     if direction == "forward":
         rows, cols = relation.src_idx, relation.dst_idx
         shape = (relation.src.size, relation.dst.size)

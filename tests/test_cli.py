@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, reproducibility."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 import hetsim
 from hetsim import dataio
 from hetsim.cli import (
-    EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, MAX_SWEEP_POINTS, _parse_sweep, main,
+    COMMANDS, EXIT_CONFIG, EXIT_IO, EXIT_NOCONVERGE, EXIT_OK, MAX_SWEEP_POINTS, _parse_sweep,
+    build_parser, main,
 )
 from hetsim.lowrank import FactoredSimilarity, rank_others
 
@@ -39,6 +41,17 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_config(stdout):
+    """The ``config:`` line that opens ``stdout``, parsed as strict JSON."""
+    first = stdout.splitlines()[0]
+    assert first.startswith("config: ")
+    return json.loads(first[len("config: "):], parse_constant=_refuse_constant)
 
 
 def run_process(argv):
@@ -228,18 +241,29 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("1e400", "inf"), ("nan", "nan")])
+    @pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("1e400", "inf"), ("nan", "nan"),
+                                            ("-inf", "-inf")])
     def test_non_finite_tol_is_config_error(self, tmp_path, capsys, tol, shown):
         # --tol 1e400 parses to inf, which once stopped the solve one sweep
         # from I and reported it converged.
         write_toy_bundle(tmp_path / "toy")
         out = tmp_path / "o"
         code, stdout, stderr = run(["solve", "--bundle", str(tmp_path / "toy"), "--out", str(out),
-                                    "--tol", tol], capsys)
+                                    f"--tol={tol}"], capsys)
         assert code == EXIT_CONFIG
         assert stderr == f"error: tol must be positive and finite, got {shown}\n"
         assert "converged" not in stdout
+        assert strict_config(stdout)["tol"] == shown
         assert not out.exists()
+
+    def test_non_finite_damping_is_echoed_as_a_string(self, tmp_path, capsys):
+        write_toy_bundle(tmp_path / "toy")
+        code, stdout, stderr = run(["solve", "--bundle", str(tmp_path / "toy"), "--out",
+                                    str(tmp_path / "o"), "--solver", "lyapunov", "--c", "nan"],
+                                   capsys)
+        assert code == EXIT_CONFIG
+        assert stderr == "error: damping must lie in (0, 1)\n"
+        assert strict_config(stdout)["c"] == "nan"
 
     def test_failed_precheck_leaves_no_out(self, tmp_path, capsys):
         net = write_toy_bundle(tmp_path / "toy")
@@ -351,12 +375,64 @@ class TestSolve:
              str(tmp_path / "o")],
             capsys,
         )
-        first = stdout.splitlines()[0]
-        assert first.startswith("config: ")
-        cfg = json.loads(first[len("config: "):])
+        cfg = strict_config(stdout)
         assert cfg["command"] == "solve"
         assert cfg["tol"] == 1e-9
         assert cfg["seed"] == 0
+
+
+# Every kind of argv argparse answers by itself: help, an unknown or missing
+# command, a missing required option or value, a bad type or choice, and an
+# unknown option.
+PARSER_ARGVS = [
+    ["--help"], ["-h"], [], ["bogus"], ["--bogus"], ["sol"],
+    *([name, "--help"] for name, *_ in COMMANDS),
+    ["synth", "random", "--help"], ["synth", "layered", "-h"], ["synth"], ["synth", "bogus"],
+    ["check"], ["check", "--bundle"], ["check", "--bundle", "b", "--bogus"],
+    ["solve", "--bundle", "b"], ["solve", "--bundle", "b", "--out", "o", "--tol", "x"],
+    ["solve", "--bundle", "b", "--out", "o", "--solver", "x"],
+    ["solve", "--bundle", "b", "--out", "o", "--bogus"],
+    ["synth", "random", "--K", "3", "--out", "o"],
+    ["synth", "random", "--K", "x", "--N", "3", "--out", "o"],
+    ["synth", "random", "--K", "3", "--N", "3", "--out", "o", "--bogus"],
+    ["synth", "layered", "--r", "0.5", "--out", "o"],
+    ["synth", "layered", "--counts", "3,3", "--r", "x", "--out", "o"],
+    ["synth", "layered", "--counts", "3,3", "--r", "0.5", "--out", "o", "x"],
+    ["eval-q", "--bundle"], ["eval-q", "--trials", "x"], ["eval-q", "--solver", "lyapunov"],
+    ["eval-q", "--bogus"],
+    ["query", "--type", "t"], ["query", "--type", "t", "--id", "i", "--k", "x"],
+    ["query", "--type", "t", "--id", "i", "--bogus"],
+    ["heatmap", "--type", "t"], ["heatmap", "--type", "t", "--out"],
+    ["heatmap", "--type", "t", "--out", "o", "--bogus"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+    def test_main_answers_as_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        mine = capsys.readouterr()
+        with pytest.raises(SystemExit) as want:
+            build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (mine.out, mine.err, got.value.code) == (full.out, full.err, want.value.code)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--bundle", "b"],
+        ["solve", "--bundle", "b", "--out", "o", "--solver", "lowrank", "--force"],
+        ["synth", "random", "--K", "3", "--N", "4", "--out", "o"],
+        ["synth", "layered", "--counts", "3,3", "--r", "0.5", "--seed", "2", "--out", "o"],
+        ["eval-q", "--sweep", "0.1:0.2:0.1"],
+        ["query", "--similarity", "s", "--type", "t", "--id", "i"],
+        ["heatmap", "--factors", "f", "--type", "t", "--out", "o"],
+    ])
+    def test_one_command_parses_as_the_full_parser(self, argv):
+        one = build_parser(argv[0])
+        assert vars(one.parse_args(argv)) == vars(build_parser().parse_args(argv))
+        # Only the named command is registered.
+        listed = [text for name, text, *_ in COMMANDS if text in one.format_help()]
+        assert listed == [text for name, text, *_ in COMMANDS if name == argv[0]]
 
 
 class TestSynth:
@@ -381,6 +457,14 @@ class TestSynth:
         assert (tmp_path / "lay" / "points.csv").is_file()
         net, _ = dataio.load_network(tmp_path / "lay")
         assert len(net.types) == 3
+
+    @pytest.mark.parametrize("r, code", [("inf", EXIT_OK), ("nan", EXIT_CONFIG)])
+    def test_non_finite_radius_is_echoed_as_a_string(self, tmp_path, capsys, r, code):
+        # An infinite radius links every pair of points, so the bundle is written.
+        got, stdout, _ = run(["synth", "layered", "--counts", "3,3", "--r", r, "--seed", "1",
+                              "--out", str(tmp_path / "lay")], capsys)
+        assert got == code
+        assert strict_config(stdout)["r"] == r
 
     def test_pigeonhole_rejection_is_config_error(self, tmp_path, capsys):
         code = None
@@ -1295,6 +1379,9 @@ FUZZ_FLAGS = {
     "query": [("--k", "0")],
     "solve": [("--ranks", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--max-iter", "0"),
               ("--seed", "-1"), ("--oversample", "-1")],
+    "synth random": [("--K", "0"), ("--N", "1")],
+    "synth layered": [("--r", "nan"), ("--r", "inf"), ("--counts", "3,,3")],
+    "eval-q --sweep": [("--sweep", "0.5:0.1:0.1"), ("--trials", "0"), ("--counts", "3,,3")],
 }
 
 
@@ -1350,6 +1437,14 @@ def _fuzz_argv(root, command, data):
     bundle, sim, factors = root / "bundle", root / "similarity.csv", root / "factors"
     if command == "check":
         return ["check", "--bundle", str(bundle)]
+    if command.startswith("synth"):  # small sizes: a flag draw never allocates much
+        sizes = ["--K", "3", "--N", "6"] if command == "synth random" else [
+            "--counts", "3,3", "--r", data.draw(st.sampled_from(["0.2", "0.6"]))]
+        return [*command.split(), *sizes, "--seed", "1", "--out", str(root / "synth")]
+    if command == "eval-q --sweep":
+        solver = data.draw(st.sampled_from(["dense", "lowrank"]))
+        return ["eval-q", "--sweep", "0.4:0.4:0.1", "--trials", "1", "--counts", "3,3",
+                "--solver", solver, "--ranks", "2"]
     if command == "eval-q":
         sim = data.draw(st.sampled_from([root / "layered.csv", sim]))
         return ["eval-q", "--bundle", str(root / "layered"), "--similarity", str(sim)]
@@ -1367,7 +1462,11 @@ def _fuzz_argv(root, command, data):
     return ["query", *source, "--type", kind, "--id", entity]
 
 
-@settings(max_examples=400, deadline=None)
+FUZZ_COMMANDS = ["check", "solve", "query", "heatmap", "eval-q", "synth random",
+                 "synth layered", "eval-q --sweep"]
+
+
+@settings(max_examples=640, deadline=None)
 @given(data=st.data())
 def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
     pristine, files = fuzz_inputs
@@ -1375,7 +1474,7 @@ def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
         st.sampled_from(files), st.sampled_from(FUZZ_MUTATIONS),
         st.integers(0, 10**4), st.sampled_from(FUZZ_INSERTS),
     ), max_size=3))
-    command = data.draw(st.sampled_from(["check", "solve", "query", "heatmap", "eval-q"]))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
     flag = data.draw(st.sampled_from([(), *FUZZ_FLAGS.get(command, [])]))
     with tempfile.TemporaryDirectory(dir=pristine.parent) as tmp:
         root = Path(tmp) / "in"
@@ -1384,46 +1483,68 @@ def test_every_mutated_input_gives_an_exit_code(fuzz_inputs, data):
             _mutate(root / name, kind, at, text)
         argv = [*_fuzz_argv(root, command, data), *flag]
         note(f"argv: {argv}")
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
             assert code == EXIT_CONFIG
     event(f"{command} exit {code}")
     assert code in {EXIT_OK, EXIT_CONFIG, EXIT_NOCONVERGE, EXIT_IO}
+    if out.getvalue():  # whatever a command prints opens with its configuration
+        strict_config(out.getvalue())
 
 
 IMPORT_FLOOR_SCRIPT = """
 import sys
-import hetsim, hetsim.cli
+from hetsim.cli import main
 
-tmp = sys.argv[1]
-calls = [
-    ["synth", "random", "--K", "3", "--N", "30", "--seed", "1", "--out", f"{tmp}/r"],
-    ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/dense"],
-    ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/lowrank", "--solver", "lowrank",
-     "--ranks", "3", "--tol", "1e-6"],
-    ["synth", "layered", "--counts", "8,8", "--r", "0.5", "--seed", "1", "--out", f"{tmp}/lay"],
-    ["solve", "--bundle", f"{tmp}/lay", "--out", f"{tmp}/laysim", "--tol", "1e-4"],
-    ["eval-q", "--bundle", f"{tmp}/lay", "--similarity", f"{tmp}/laysim/similarity.csv"],
-]
-codes = [hetsim.cli.main(argv) for argv in calls]
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.spatial", "scipy.linalg")))
-print("RESULT", codes, loaded)
+code = main(sys.argv[1:])
+print("RESULT", code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_cli_loads_neither_scipy_spatial_nor_scipy_linalg(tmp_path):
-    """A fresh interpreter that imports hetsim and runs synth, a dense and a
-    low-rank solve and eval-q loads neither scipy.spatial (with its qhull)
-    nor scipy.linalg: of scipy, hetsim needs only scipy.sparse."""
+    """Each command, in a fresh interpreter: synth, check, query, heatmap and
+    eval-q --bundle load no scipy at all, and a solve and eval-q --sweep load
+    scipy.sparse, to build their operators, but neither scipy.spatial (with
+    its qhull) nor scipy.linalg."""
     src = str(Path(hetsim.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_FLOOR_SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = proc.stdout.splitlines()[-1]
-    assert result == f"RESULT {[EXIT_OK] * 6} []"
+    tmp = str(tmp_path)
+    readers = [
+        ["synth", "random", "--K", "3", "--N", "30", "--seed", "1", "--out", f"{tmp}/r"],
+        ["synth", "layered", "--counts", "8,8", "--r", "0.5", "--seed", "1", "--out",
+         f"{tmp}/lay"],
+        ["check", "--bundle", f"{tmp}/r"],
+    ]
+    solvers = [
+        ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/dense"],
+        ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/lyapunov", "--solver", "lyapunov"],
+        ["solve", "--bundle", f"{tmp}/r", "--out", f"{tmp}/lowrank", "--solver", "lowrank",
+         "--ranks", "3", "--tol", "1e-6"],
+        ["solve", "--bundle", f"{tmp}/lay", "--out", f"{tmp}/laysim", "--tol", "1e-4"],
+        ["eval-q", "--sweep", "0.4:0.4:0.1", "--trials", "1", "--counts", "3,3"],
+    ]
+    sources = [["--similarity", f"{tmp}/dense/similarity.csv"],
+               ["--factors", f"{tmp}/lowrank/factors"]]
+    readers += [
+        *(["query", *source, "--bundle", f"{tmp}/r", "--type", "c0", "--id", "c0_1"]
+          for source in sources),
+        *(["heatmap", *source, "--type", "c0", "--out", f"{tmp}/h.svg"] for source in sources),
+        ["eval-q", "--bundle", f"{tmp}/lay", "--similarity", f"{tmp}/laysim/similarity.csv"],
+    ]
+    for argv in readers[:3] + solvers + readers[3:]:  # each command reads what came before
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_FLOOR_SCRIPT, *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 2)[1:]
+        assert code == str(EXIT_OK), (argv, proc.stderr)
+        loaded = ast.literal_eval(loaded)
+        if argv in solvers:
+            assert "scipy.sparse" in loaded, argv
+            assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.linalg"))], argv
+        else:
+            assert loaded == [], argv

@@ -61,3 +61,22 @@ def test_summary_counts_wins_and_compares_the_gap_with_the_parent_iqr():
     # Five wins, but a median gap of 1, within the parent's IQR.
     got = tool.summary(pairs("x_s", parent, [9.0, 10.0, 11.0, 12.0, 13.0]), {})["x_s"]
     assert got["change_wins"] == 5 and not got["gap_exceeds_parent_iqr"]
+
+
+def test_one_cold_run_per_side_of_this_checkout(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cold_cli.py"), "--parent", str(ROOT), "--runs", "1",
+         "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["runs"] == 1
+    assert list(doc["commands"]) == ["query_similarity", "query_factors", "heatmap", "check"]
+    for sides in doc["commands"].values():
+        assert list(sides) == ["parent", "change"]
+        for side in sides.values():
+            for got in side.values():
+                assert len(got["values"]) == 1 and got["values"][0] > 0
+                assert got["q1"] == got["median"] == got["q3"] == got["values"][0]
